@@ -15,12 +15,14 @@ All values are immutable; every operation returns a fresh element.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import NotInvertible, ParityViolation, RingMismatch, UnknownVariable
 from .scalars import GaussianRational
 
 TermKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
+_SCALAR_TYPES = (int, Fraction, GaussianRational)
 
 
 def merge_odd(left: Tuple[int, ...], right: Tuple[int, ...]):
@@ -240,7 +242,7 @@ class SuperElement:
             raise RingMismatch(f"operands live in different rings: {self.ring!r} vs {other.ring!r}")
 
     def __add__(self, other):
-        if isinstance(other, (int, GaussianRational)):
+        if isinstance(other, _SCALAR_TYPES):
             other = self.ring.scalar(other)
         if not isinstance(other, SuperElement):
             return NotImplemented
@@ -261,15 +263,13 @@ class SuperElement:
         return SuperElement(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, GaussianRational)):
-            other = self.ring.scalar(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, GaussianRational)):
+        if isinstance(other, _SCALAR_TYPES):
             scale = GaussianRational.coerce(other)
             if not scale:
                 return self.ring.zero()
@@ -281,10 +281,7 @@ class SuperElement:
         accumulate_product(terms, self.terms, other.terms)
         return SuperElement(self.ring, terms)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, GaussianRational)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # scalars are central
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -343,14 +340,15 @@ class SuperElement:
     # -- comparison and display ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, _SCALAR_TYPES):
             other = self.ring.scalar(other)
         if not isinstance(other, SuperElement):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        value = self.constant_value()  # a constant equals its scalar, so it hashes like one
+        return hash((self.ring, frozenset(self.terms.items()))) if value is None else hash(value)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: item[0])

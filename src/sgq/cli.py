@@ -139,6 +139,8 @@ def _run_proptest(args):
         values = _parse_ints(args.size, (5, 6), "--size")
         keys = ["m", "n", "r", "s", "q", "coeff_bound"]
         size = dict(zip(keys, values))
+        if size.get("coeff_bound", 1) < 1:
+            raise SchemaError("--size: coeff must be at least 1")
     return run_suite(args.suite, args.trials, args.seed, size)
 
 

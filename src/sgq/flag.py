@@ -198,14 +198,14 @@ def normal_form(g: SuperMatrix, bp: BlockProfile) -> Tuple[NCoordinates, SuperMa
     rows 2 and 3 determine (u, eta) and (v, xi) through the two Schur-type
     brackets, and the remaining parabolic blocks follow by substitution.
     """
-    _check_square(g, bp)
-    if not in_big_cell(g, bp):
-        raise NotInBigCell(f"corner blocks of g lack invertible body under profile {bp}")
+    b = split_blocks(g, bp)
+    try:
+        g11_inv = inv_even(b[(1, 1)])
+        g44_inv = inv_even(b[(4, 4)])
+    except NotInvertible:
+        raise NotInBigCell(f"corner blocks of g lack invertible body under profile {bp}") from None
     if not is_invertible(g):
         raise NotInvertible("g has singular body")
-    b = split_blocks(g, bp)
-    g11_inv = inv_even(b[(1, 1)])
-    g44_inv = inv_even(b[(4, 4)])
 
     # row 2, columns 1 and 4:  u*g11 + eta*gamma41 = g21,  u*gamma14 + eta*g44 = gamma24
     bracket_u = inv_even(b[(1, 1)] - b[(1, 4)] * g44_inv * b[(4, 1)])

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .algebra import SuperRing
-from .errors import NotInBigCell, RankDeficient, RingMismatch, ShapeMismatch
+from .errors import NotInBigCell, NotInvertible, RankDeficient, RingMismatch, ShapeMismatch
 from .flag import BlockProfile, NCoordinates, assemble
 from .matrix import SuperMatrix, SuperShape, is_invertible, sm_inv
 
@@ -55,13 +55,9 @@ def _row_choices(bp: BlockProfile):
             yield even_rows + tuple(bp.m + i for i in odd_rows)
 
 
-def _choice_valid(span: SuperMatrix, rows: Tuple[int, ...]) -> bool:
-    return is_invertible(span.select(list(rows), list(range(span.n_cols))))
-
-
 def _first_valid_choice(span: SuperMatrix, bp: BlockProfile) -> Optional[Tuple[int, ...]]:
     for rows in _row_choices(bp):
-        if _choice_valid(span, rows):
+        if is_invertible(span.select(list(rows), list(range(span.n_cols)))):
             return rows
     return None
 
@@ -92,9 +88,11 @@ def points_equal(p1: GrassmannianPoint, p2: GrassmannianPoint) -> bool:
     rows = _first_valid_choice(p1.span, p1.profile)
     if rows is None:
         raise RankDeficient("no valid row choice for the first span")
-    if not _choice_valid(p2.span, rows):
+    try:
+        norm2 = _normalize_on(p2.span, rows)
+    except NotInvertible:  # the rows that frame p1 do not frame p2
         return False
-    return _normalize_on(p1.span, rows) == _normalize_on(p2.span, rows)
+    return _normalize_on(p1.span, rows) == norm2
 
 
 def act(g: SuperMatrix, point: GrassmannianPoint) -> GrassmannianPoint:
@@ -126,9 +124,10 @@ def chart_down(point: GrassmannianPoint) -> NCoordinates:
     """
     bp = point.profile
     corner_rows = tuple(bp.block_range(1)) + tuple(bp.block_range(4))
-    if not _choice_valid(point.span, corner_rows):
-        raise NotInBigCell("the (block 1, block 4) row submatrix has singular body")
-    norm = _normalize_on(point.span, corner_rows)
+    try:
+        norm = _normalize_on(point.span, corner_rows)
+    except NotInvertible:
+        raise NotInBigCell("the (block 1, block 4) row submatrix has singular body") from None
     even_cols = list(range(bp.r))
     odd_cols = list(range(bp.r, bp.r + bp.s))
     block2 = list(bp.block_range(2))

@@ -325,14 +325,15 @@ def sm_inv(matrix: SuperMatrix) -> SuperMatrix:
         d_inv = inv_even(d)
     except NotInvertible as exc:
         raise NotInvertible(f"odd-odd block is singular: {exc}") from None
-    schur = a - b * d_inv * c
+    b_d_inv = b * d_inv
+    schur = a - b_d_inv * c
     try:
         schur_inv = inv_even(schur)
     except NotInvertible as exc:
         raise NotInvertible(f"even-even block is singular: {exc}") from None
-    top_right = -(schur_inv * b * d_inv)
+    top_right = -(schur_inv * b_d_inv)
     bottom_left = -(d_inv * c * schur_inv)
-    bottom_right = d_inv + d_inv * c * schur_inv * b * d_inv
+    bottom_right = d_inv - bottom_left * b_d_inv
     return block_matrix([[schur_inv, top_right], [bottom_left, bottom_right]])
 
 

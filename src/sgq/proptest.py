@@ -47,8 +47,8 @@ def _profile(size) -> BlockProfile:
 def check_supercommutativity(rng, size):
     ring = _grassmann_ring(size)
     pa, pb = rng.randint(0, 1), rng.randint(0, 1)
-    a = random_homogeneous(ring, rng, pa)
-    b = random_homogeneous(ring, rng, pb)
+    a = random_homogeneous(ring, rng, pa, bound=size["coeff_bound"])
+    b = random_homogeneous(ring, rng, pb, bound=size["coeff_bound"])
     lhs = a * b
     rhs = b * a if pa * pb == 0 else -(b * a)
     if lhs != rhs:
@@ -58,7 +58,7 @@ def check_supercommutativity(rng, size):
 
 def check_soul_nilpotency(rng, size):
     ring = _grassmann_ring(size)
-    a = random_soul(ring, rng, parity=None, max_terms=3)
+    a = random_soul(ring, rng, parity=None, max_terms=3, bound=size["coeff_bound"])
     power = a ** (ring.n_odd + 1)
     if not power.is_zero():
         return {"a": repr(a), "power": repr(power)}
@@ -67,8 +67,8 @@ def check_soul_nilpotency(rng, size):
 
 def check_body_multiplicative(rng, size):
     ring = _grassmann_ring(size)
-    a = random_element(ring, rng)
-    b = random_element(ring, rng)
+    a = random_element(ring, rng, bound=size["coeff_bound"])
+    b = random_element(ring, rng, bound=size["coeff_bound"])
     if (a * b).body() != a.body() * b.body():
         return {"a": repr(a), "b": repr(b)}
     return None
@@ -76,7 +76,7 @@ def check_body_multiplicative(rng, size):
 
 def check_inversion_exact(rng, size):
     ring = _grassmann_ring(size)
-    u = random_unit(ring, rng)
+    u = random_unit(ring, rng, bound=size["coeff_bound"])
     if not (u * u.inv()).is_one():
         return {"u": repr(u), "u_inv": repr(u.inv())}
     return None
@@ -88,13 +88,13 @@ def check_substitution_morphism(rng, size):
     if target.n_odd < 1:
         return None
     images = {
-        "z": random_homogeneous(target, rng, 0),
-        "w1": random_homogeneous(target, rng, 1),
-        "w2": random_homogeneous(target, rng, 1),
+        "z": random_homogeneous(target, rng, 0, bound=size["coeff_bound"]),
+        "w1": random_homogeneous(target, rng, 1, bound=size["coeff_bound"]),
+        "w2": random_homogeneous(target, rng, 1, bound=size["coeff_bound"]),
     }
     hom = SuperHom(source, target, images)
-    a = random_element(source, rng)
-    b = random_element(source, rng)
+    a = random_element(source, rng, bound=size["coeff_bound"])
+    b = random_element(source, rng, bound=size["coeff_bound"])
     if hom(a * b) != hom(a) * hom(b) or hom(a + b) != hom(a) + hom(b) or not hom(source.one()).is_one():
         return {"a": repr(a), "b": repr(b), "images": {k: repr(v) for k, v in images.items()}}
     return None
@@ -105,8 +105,8 @@ def check_graded_leibniz(rng, size):
     if ring.n_odd == 0:
         return None
     pa = rng.randint(0, 1)
-    a = random_homogeneous(ring, rng, pa)
-    b = random_element(ring, rng)
+    a = random_homogeneous(ring, rng, pa, bound=size["coeff_bound"])
+    b = random_element(ring, rng, bound=size["coeff_bound"])
     var = rng.choice(ring.odd_vars)
     lhs = (a * b).derivative(var)
     signed = a * b.derivative(var)
@@ -122,7 +122,7 @@ def check_odd_second_derivative(rng, size):
     ring = _grassmann_ring(size)
     if ring.n_odd == 0:
         return None
-    a = random_element(ring, rng)
+    a = random_element(ring, rng, bound=size["coeff_bound"])
     var = rng.choice(ring.odd_vars)
     if not a.derivative(var).derivative(var).is_zero():
         return {"a": repr(a), "var": var}
@@ -135,8 +135,8 @@ def check_odd_second_derivative(rng, size):
 def check_pattern_closure(rng, size):
     ring = _grassmann_ring(size)
     m, n = size["m"], size["n"]
-    x = random_invertible(ring, rng, m, n)
-    y = random_invertible(ring, rng, m, n)
+    x = random_invertible(ring, rng, m, n, bound=size["coeff_bound"])
+    y = random_invertible(ring, rng, m, n, bound=size["coeff_bound"])
     product = x * y  # constructor validates the parity pattern
     shape = product.shape
     for i in range(shape.n_rows):
@@ -149,9 +149,9 @@ def check_pattern_closure(rng, size):
 def check_associativity(rng, size):
     ring = _grassmann_ring(size)
     m, n = size["m"], size["n"]
-    x = random_invertible(ring, rng, m, n)
-    y = random_invertible(ring, rng, m, n)
-    z = random_invertible(ring, rng, m, n)
+    x = random_invertible(ring, rng, m, n, bound=size["coeff_bound"])
+    y = random_invertible(ring, rng, m, n, bound=size["coeff_bound"])
+    z = random_invertible(ring, rng, m, n, bound=size["coeff_bound"])
     if (x * y) * z != x * (y * z):
         return {"x": repr(x), "y": repr(y), "z": repr(z)}
     return None
@@ -160,7 +160,7 @@ def check_associativity(rng, size):
 def check_identity_unit(rng, size):
     ring = _grassmann_ring(size)
     m, n = size["m"], size["n"]
-    x = random_invertible(ring, rng, m, n)
+    x = random_invertible(ring, rng, m, n, bound=size["coeff_bound"])
     eye = SuperMatrix.identity(ring, m, n)
     if eye * x != x or x * eye != x:
         return {"x": repr(x)}
@@ -170,7 +170,7 @@ def check_identity_unit(rng, size):
 def check_two_sided_inverse(rng, size):
     ring = _grassmann_ring(size)
     m, n = size["m"], size["n"]
-    x = random_invertible(ring, rng, m, n)
+    x = random_invertible(ring, rng, m, n, bound=size["coeff_bound"])
     x_inv = x.inv()
     eye = SuperMatrix.identity(ring, m, n)
     if x * x_inv != eye or x_inv * x != eye:
@@ -181,8 +181,8 @@ def check_two_sided_inverse(rng, size):
 def check_ber_multiplicative(rng, size):
     ring = _grassmann_ring(size)
     m, n = size["m"], size["n"]
-    x = random_invertible(ring, rng, m, n)
-    y = random_invertible(ring, rng, m, n)
+    x = random_invertible(ring, rng, m, n, bound=size["coeff_bound"])
+    y = random_invertible(ring, rng, m, n, bound=size["coeff_bound"])
     if berezinian(x * y) != berezinian(x) * berezinian(y):
         return {"x": repr(x), "y": repr(y)}
     return None
@@ -198,7 +198,7 @@ def check_ber_identity(rng, size):
 def check_ber_unit_iff_invertible(rng, size):
     ring = _grassmann_ring(size)
     m, n = size["m"], size["n"]
-    x = random_invertible(ring, rng, m, n)
+    x = random_invertible(ring, rng, m, n, bound=size["coeff_bound"])
     if not berezinian(x).is_unit():
         return {"x": repr(x), "note": "invertible matrix with non-unit Berezinian"}
     if m >= 1:
@@ -220,8 +220,8 @@ def check_ber_unit_iff_invertible(rng, size):
 def check_body_commutes(rng, size):
     ring = _grassmann_ring(size)
     m, n = size["m"], size["n"]
-    x = random_invertible(ring, rng, m, n)
-    y = random_invertible(ring, rng, m, n)
+    x = random_invertible(ring, rng, m, n, bound=size["coeff_bound"])
+    y = random_invertible(ring, rng, m, n, bound=size["coeff_bound"])
     if (x * y).body() != x.body() * y.body():
         return {"x": repr(x), "y": repr(y)}
     return None
@@ -233,7 +233,7 @@ def check_body_commutes(rng, size):
 def check_exact_factorization(rng, size):
     ring = _grassmann_ring(size)
     bp = _profile(size)
-    g = random_big_cell(ring, bp, rng)
+    g = random_big_cell(ring, bp, rng, bound=size["coeff_bound"])
     coords, p = normal_form(g, bp)
     if assemble(coords) * p != g:
         return {"g": repr(g), "note": "assemble(n)*p != g"}
@@ -245,8 +245,8 @@ def check_exact_factorization(rng, size):
 def check_right_p_invariance(rng, size):
     ring = _grassmann_ring(size)
     bp = _profile(size)
-    g = random_big_cell(ring, bp, rng)
-    p_member = random_parabolic(ring, bp, rng)
+    g = random_big_cell(ring, bp, rng, bound=size["coeff_bound"])
+    p_member = random_parabolic(ring, bp, rng, bound=size["coeff_bound"])
     moved = g * p_member
     if not in_big_cell(moved, bp):
         return {"g": repr(g), "note": "g*p left the big cell"}
@@ -258,7 +258,7 @@ def check_right_p_invariance(rng, size):
 def check_idempotence(rng, size):
     ring = _grassmann_ring(size)
     bp = _profile(size)
-    coords = random_ncoords(ring, bp, rng)
+    coords = random_ncoords(ring, bp, rng, bound=size["coeff_bound"])
     solved, p = normal_form(assemble(coords), bp)
     if solved != coords or p != SuperMatrix.identity(ring, bp.m, bp.n):
         return {"coords": repr(coords)}
@@ -268,11 +268,11 @@ def check_idempotence(rng, size):
 def check_p_cap_n_trivial(rng, size):
     ring = _grassmann_ring(size)
     bp = _profile(size)
-    coords = random_ncoords(ring, bp, rng)
+    coords = random_ncoords(ring, bp, rng, bound=size["coeff_bound"])
     member = assemble(coords)
     if standard_parabolic_member(member, bp) != coords.is_zero():
         return {"coords": repr(coords)}
-    p_member = random_parabolic(ring, bp, rng)
+    p_member = random_parabolic(ring, bp, rng, bound=size["coeff_bound"])
     eye = SuperMatrix.identity(ring, bp.m, bp.n)
     if n_member(p_member, bp) != (p_member == eye):
         return {"p": repr(p_member)}
@@ -282,8 +282,9 @@ def check_p_cap_n_trivial(rng, size):
 def check_coset_vs_coordinates(rng, size):
     ring = _grassmann_ring(size)
     bp = _profile(size)
-    g1 = random_big_cell(ring, bp, rng)
-    g2 = g1 * random_parabolic(ring, bp, rng) if rng.random() < 0.5 else random_big_cell(ring, bp, rng)
+    bound = size["coeff_bound"]
+    g1 = random_big_cell(ring, bp, rng, bound)
+    g2 = g1 * random_parabolic(ring, bp, rng, bound) if rng.random() < 0.5 else random_big_cell(ring, bp, rng, bound)
     same_coset = cosets_equal(g1, g2, bp)
     same_coords = normal_form(g1, bp)[0] == normal_form(g2, bp)[0]
     if same_coset != same_coords:
@@ -297,7 +298,7 @@ def check_coset_vs_coordinates(rng, size):
 def check_chart_down_up(rng, size):
     ring = _grassmann_ring(size)
     bp = _profile(size)
-    coords = random_ncoords(ring, bp, rng)
+    coords = random_ncoords(ring, bp, rng, bound=size["coeff_bound"])
     if chart_down(chart_up(coords)) != coords:
         return {"coords": repr(coords)}
     return None
@@ -306,7 +307,7 @@ def check_chart_down_up(rng, size):
 def check_chart_up_down(rng, size):
     ring = _grassmann_ring(size)
     bp = _profile(size)
-    point = random_big_cell_point(ring, bp, rng)
+    point = random_big_cell_point(ring, bp, rng, bound=size["coeff_bound"])
     if not points_equal(chart_up(chart_down(point)), point):
         return {"span": repr(point.span)}
     return None
@@ -315,7 +316,7 @@ def check_chart_up_down(rng, size):
 def check_chart_lands_big_cell(rng, size):
     ring = _grassmann_ring(size)
     bp = _profile(size)
-    point = chart_up(random_ncoords(ring, bp, rng))
+    point = chart_up(random_ncoords(ring, bp, rng, bound=size["coeff_bound"]))
     chart_down(point)  # raises NotInBigCell on failure
     return None
 
@@ -326,7 +327,7 @@ def check_chart_lands_big_cell(rng, size):
 def check_identity_action(rng, size):
     ring = _grassmann_ring(size)
     bp = _profile(size)
-    point = random_big_cell_point(ring, bp, rng)
+    point = random_big_cell_point(ring, bp, rng, bound=size["coeff_bound"])
     eye = SuperMatrix.identity(ring, bp.m, bp.n)
     if act(eye, point).span != point.span:
         return {"span": repr(point.span)}
@@ -336,9 +337,9 @@ def check_identity_action(rng, size):
 def check_action_compatibility(rng, size):
     ring = _grassmann_ring(size)
     bp = _profile(size)
-    g1 = random_invertible(ring, rng, bp.m, bp.n)
-    g2 = random_invertible(ring, rng, bp.m, bp.n)
-    point = random_big_cell_point(ring, bp, rng)
+    g1 = random_invertible(ring, rng, bp.m, bp.n, bound=size["coeff_bound"])
+    g2 = random_invertible(ring, rng, bp.m, bp.n, bound=size["coeff_bound"])
+    point = random_big_cell_point(ring, bp, rng, bound=size["coeff_bound"])
     if act(g1 * g2, point).span != act(g1, act(g2, point)).span:
         return {"g1": repr(g1), "g2": repr(g2), "span": repr(point.span)}
     return None
@@ -347,7 +348,7 @@ def check_action_compatibility(rng, size):
 def check_stabilizer_identity(rng, size):
     ring = _grassmann_ring(size)
     bp = _profile(size)
-    g = random_mixed_invertible(ring, bp, rng, rng.randint(0, 2))
+    g = random_mixed_invertible(ring, bp, rng, rng.randint(0, 2), bound=size["coeff_bound"])
     std = standard_point(bp, ring)
     fixes = points_equal(act(g, std), std)
     member = standard_parabolic_member(g, bp)
@@ -359,7 +360,7 @@ def check_stabilizer_identity(rng, size):
 def check_orbit_definition(rng, size):
     ring = _grassmann_ring(size)
     bp = _profile(size)
-    g = random_invertible(ring, rng, bp.m, bp.n)
+    g = random_invertible(ring, rng, bp.m, bp.n, bound=size["coeff_bound"])
     if orbit_map(g, bp).span != act(g, standard_point(bp, ring)).span:
         return {"g": repr(g)}
     return None
@@ -368,8 +369,9 @@ def check_orbit_definition(rng, size):
 def check_orbit_coset_equivalence(rng, size):
     ring = _grassmann_ring(size)
     bp = _profile(size)
-    g1 = random_big_cell(ring, bp, rng)
-    g2 = g1 * random_parabolic(ring, bp, rng) if rng.random() < 0.5 else random_big_cell(ring, bp, rng)
+    bound = size["coeff_bound"]
+    g1 = random_big_cell(ring, bp, rng, bound)
+    g2 = g1 * random_parabolic(ring, bp, rng, bound) if rng.random() < 0.5 else random_big_cell(ring, bp, rng, bound)
     lhs = cosets_equal(g1, g2, bp)
     rhs = points_equal(orbit_map(g1, bp), orbit_map(g2, bp))
     if lhs != rhs:
@@ -420,7 +422,7 @@ def check_block_diagonal_jacobian(rng, size):
                 # off-diagonal entry is odd: all terms die with the odd vars
                 if not all(odd for (_, odd) in entry.terms):
                     return {"entry": [i, j], "value": repr(entry)}
-    rank_at_point(pres, pt)  # also exercises the entrywise assertion
+    rank_at_point(pres, pt)  # the point is built to vanish, so this must not raise
     return None
 
 

@@ -96,7 +96,7 @@ def random_soul(ring: SuperRing, rng: Random, parity: Optional[int] = None, max_
 
 
 def random_unit(ring: SuperRing, rng: Random, bound: int = DEFAULT_COEFF_BOUND) -> SuperElement:
-    return ring.scalar(random_nonzero_scalar(rng, bound)) + random_soul(ring, rng, parity=0)
+    return ring.scalar(random_nonzero_scalar(rng, bound)) + random_soul(ring, rng, parity=0, bound=bound)
 
 
 def _random_numeric_invertible(ring: SuperRing, rng: Random, size: int, parity: int,

@@ -88,7 +88,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it must hash like one
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __bool__(self):
         return self.re != 0 or self.im != 0

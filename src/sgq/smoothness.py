@@ -3,9 +3,11 @@
 A presentation adjoins fiber variables (p even, q odd) to a base ring and
 imposes homogeneous relations, r' even and s' odd.  At a rational point (odd
 variables zero, even fiber variables assigned exact values) the Jacobian is
-block diagonal; the verdict is smooth when both blocks have full row rank,
-with relative dimension (p - r' | q - s'), and etale when that dimension is
-0|0.  Rank is computed by exact Gaussian elimination over Q(i).
+block diagonal, its off-diagonal entries being odd, so one substitution per
+point checks the relations and evaluates only the two diagonal blocks.  The
+verdict is smooth when both have full row rank, with relative dimension
+(p - r' | q - s'), and etale when that dimension is 0|0.  Rank is computed
+by exact Gaussian elimination over Q(i).
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ class SmoothnessVerdict:
     relative_dimension: Optional[Tuple[int, int]]
 
 
-def _reduce_at(pres: Presentation, pt: RationalPoint, element: SuperElement) -> SuperElement:
-    """Substitute the point: assigned evens to values, odds to zero,
+def _substitution(pres: Presentation, pt: RationalPoint) -> SuperHom:
+    """The point as a substitution: assigned evens to values, odds to zero,
     unassigned even base variables kept as formal constants."""
     total = pres.total_ring
     residual_evens = tuple(v for v in total.even_vars if v not in pt.values)
@@ -94,15 +96,7 @@ def _reduce_at(pres: Presentation, pt: RationalPoint, element: SuperElement) -> 
             images[name] = residual.gen(name)
     for name in total.odd_vars:
         images[name] = residual.zero()
-    return SuperHom(total, residual, images)(element)
-
-
-def _check_point(pres: Presentation, pt: RationalPoint) -> None:
-    for label, rels in (("even", pres.relations_even), ("odd", pres.relations_odd)):
-        for k, rel in enumerate(rels):
-            reduced = _reduce_at(pres, pt, rel)
-            if not reduced.is_zero():
-                raise NotAPoint(f"{label} relation {k} does not vanish at the point: {reduced!r}")
+    return SuperHom(total, residual, images)
 
 
 def jacobian(pres: Presentation) -> List[List[SuperElement]]:
@@ -140,29 +134,31 @@ def _rank(rows: List[List[GaussianRational]]) -> int:
 
 def rank_at_point(pres: Presentation, pt: RationalPoint) -> Tuple[int, int]:
     """Ranks of the two diagonal Jacobian blocks at the point."""
-    _check_point(pres, pt)
+    at_point = _substitution(pres, pt)
+    for label, rels in (("even", pres.relations_even), ("odd", pres.relations_odd)):
+        for k, rel in enumerate(rels):
+            reduced = at_point(rel)
+            if not reduced.is_zero():
+                raise NotAPoint(f"{label} relation {k} does not vanish at the point: {reduced!r}")
     jac = jacobian(pres)
     n_even_rel = len(pres.relations_even)
     n_even_var = len(pres.fiber_even)
     evaluated: List[List[GaussianRational]] = []
     for i, row in enumerate(jac):
+        # the off-diagonal entries are odd and vanish at the point: skip them
+        cols = range(n_even_var) if i < n_even_rel else range(n_even_var, len(row))
         values = []
-        for j, entry in enumerate(row):
-            reduced = _reduce_at(pres, pt, entry)
+        for j in cols:
+            reduced = at_point(row[j])
             value = reduced.constant_value()
             if value is None:
                 raise UnassignedVariable(
                     f"Jacobian entry ({i}, {j}) does not reduce to a number: {reduced!r}; "
                     "assign the base variables it mentions"
                 )
-            off_diagonal = (i < n_even_rel) != (j < n_even_var)
-            # odd-parity entries always die at a rational point
-            assert not (off_diagonal and value), f"odd-parity Jacobian entry ({i}, {j}) survived"
             values.append(value)
         evaluated.append(values)
-    even_block = [row[:n_even_var] for row in evaluated[:n_even_rel]]
-    odd_block = [row[n_even_var:] for row in evaluated[n_even_rel:]]
-    return _rank(even_block), _rank(odd_block)
+    return _rank(evaluated[:n_even_rel]), _rank(evaluated[n_even_rel:])
 
 
 def is_smooth_at(pres: Presentation, pt: RationalPoint) -> SmoothnessVerdict:

@@ -49,6 +49,30 @@ def test_scalar_and_imaginary_arithmetic(grassmann2):
     assert half + half == grassmann2.one()
 
 
+def test_real_gaussian_rational_hashes_like_int_and_fraction():
+    for x in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3)):
+        assert GaussianRational(x) == x and hash(GaussianRational(x)) == hash(x)
+    assert len({GaussianRational(1), 1, Fraction(1)}) == 1
+
+
+def test_element_accepts_every_scalar_type(grassmann2):
+    one, t1 = grassmann2.one(), grassmann2.gen("t1")
+    for scalar in (1, Fraction(1), GaussianRational(1)):
+        assert one == scalar and scalar == one
+    half = Fraction(1, 2)
+    assert one + half == half + one == grassmann2.scalar(Fraction(3, 2))
+    assert one - half == grassmann2.scalar(half)
+    assert half - one == grassmann2.scalar(-half)
+    assert t1 * half == half * t1 == grassmann2.element({((), (0,)): half})
+
+
+def test_constant_element_hashes_like_its_scalar(grassmann2):
+    for x in (0, 3, Fraction(-2, 5), GaussianRational(1, 2)):
+        element = grassmann2.scalar(x)
+        assert element == x and hash(element) == hash(x)
+    assert len({grassmann2.one(), 1, GaussianRational(1)}) == 1
+
+
 def test_ring_mismatch_is_rejected(grassmann2, mixed_ring):
     with pytest.raises(RingMismatch):
         grassmann2.gen("t1") * mixed_ring.gen("x")

@@ -179,6 +179,14 @@ def test_proptest_deterministic_bytes(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_proptest_rejects_nonpositive_coeff_bound(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = run_cli("proptest", "--suite", "kernel", "--trials", "1", "--size", "2,2,1,1,4,0", "--out", str(out))
+    assert code == 2
+    assert "coeff" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_matrix_suite_seeded_run(tmp_path):
     out = tmp_path / "report.json"
     code = run_cli("proptest", "--suite", "matrix", "--trials", "10", "--seed", "42",

@@ -4,6 +4,7 @@ from sgq import (
     BlockProfile,
     NCoordinates,
     NotInBigCell,
+    NotInvertible,
     ShapeMismatch,
     SuperMatrix,
     SuperRing,
@@ -126,8 +127,16 @@ def test_normal_form_of_unipotent_is_itself(grassmann4):
 def test_normal_form_outside_cell_raises(grassmann2):
     ring = grassmann2
     rows = [[ring.zero(), ring.gen("t1")], [ring.gen("t2"), ring.one()]]
-    with pytest.raises(NotInBigCell):
+    with pytest.raises(NotInBigCell, match="corner blocks of g lack invertible body"):
         normal_form(SuperMatrix(ring, SuperShape((1, 1), (1, 1)), rows), BP_SMALL)
+
+
+def test_normal_form_singular_g_with_invertible_corners(grassmann2):
+    # under (2, 0 | 1, 0) the corners are [1] and empty: both invertible, g is not
+    one = grassmann2.one()
+    g = SuperMatrix(grassmann2, SuperShape((2, 0), (2, 0)), [[one, one], [one, one]])
+    with pytest.raises(NotInvertible, match="^g has singular body$"):
+        normal_form(g, BlockProfile(2, 0, 1, 0))
 
 
 def test_normal_form_shape_guard(grassmann4):

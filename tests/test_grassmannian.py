@@ -168,8 +168,11 @@ def test_chart_down_rejects_off_cell_point(grassmann4):
     # span (e2): full rank on the second even row, not on the first
     span = SuperMatrix(ring, SuperShape((2, 0), (1, 0)), [[ring.zero()], [ring.one()]])
     point = GrassmannianPoint(bp, span)
-    with pytest.raises(NotInBigCell):
+    with pytest.raises(NotInBigCell, match=r"^the \(block 1, block 4\) row submatrix has singular body$"):
         chart_down(point)
+    # neither point is framed by the rows that frame the other
+    std = standard_point(bp, ring)
+    assert not points_equal(std, point) and not points_equal(point, std)
 
 
 def test_distinct_coordinates_give_distinct_points(grassmann4):

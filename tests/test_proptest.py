@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sgq import UnknownSuite, run_suite
+from sgq import UnknownSuite, run_suite, sampling
 from sgq.proptest import SUITES
 
 
@@ -40,3 +40,17 @@ def test_seed_changes_nothing_structural_but_is_recorded():
     report = run_suite("kernel", 3, 999)
     assert report["seed"] == 999 and report["trials"] == 3
     assert report["size"]["q"] == 4
+
+
+def test_coeff_bound_reaches_every_sampler(monkeypatch):
+    bounds = []
+    real = sampling.random_fraction
+
+    def spy(rng, bound):
+        bounds.append(bound)
+        return real(rng, bound)
+
+    monkeypatch.setattr(sampling, "random_fraction", spy)
+    for suite in ("kernel", "matrix", "factorization", "chart", "action"):
+        run_suite(suite, 2, 0, {"coeff_bound": 2})
+    assert bounds and set(bounds) == {2}

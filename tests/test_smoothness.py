@@ -133,6 +133,15 @@ def test_base_variables_as_constants():
         rank_at_point(pres2, RationalPoint({"x": 1}))
 
 
+def test_unassigned_variable_names_global_entry_of_odd_block():
+    base = SuperRing(["c"], [])
+    total = SuperRing(["c", "x"], ["s"])
+    pres = Presentation(base, ["x"], ["s"], [total.gen("x") - total.one()], [total.gen("c") * total.gen("s")])
+    # the odd block's only entry, d(c*s)/ds = c, sits at global row 1, column 1
+    with pytest.raises(UnassignedVariable, match=r"^Jacobian entry \(1, 1\) does not reduce to a number: c;"):
+        rank_at_point(pres, RationalPoint({"x": 1}))
+
+
 def test_odd_relations_contribute_odd_rank():
     ring = SuperRing(["x"], ["s1", "s2"])
     phi = ring.gen("s1") + ring.gen("x") * ring.gen("s2")

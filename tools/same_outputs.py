@@ -1,0 +1,156 @@
+"""Write the proptest reports and CLI documents of one checkout, for byte comparison.
+
+    python3 tools/same_outputs.py CHECKOUT OUT_DIR
+
+A command-line script, not a module: it reads its arguments and puts the
+checkout's `src/` and `bench/` first on the import path at start-up.
+
+Run it once on each of two checkouts, then compare with `diff -r -x _work`.
+It covers `run_suite("all", 3, seed)` for seeds 0-3 at the default size and
+at (3, 2 | 2, 1), q = 5, and the `factor`, `orbit`, `chart-down`, `minv`,
+`ber` and `smooth` commands on inputs from the checkout's `bench/inputs.py`,
+including inputs that end in `NotInBigCell`, `NotInvertible`, `NotAPoint`,
+`UnassignedVariable` and schema errors.  Each `cli_*.txt` file holds the
+exit status, stderr and output document of one invocation.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+ROOT, OUT = sys.argv[1], sys.argv[2]
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import inputs  # noqa: E402
+from sgq import Presentation, RationalPoint, SuperMatrix, SuperRing, SuperShape, run_suite, serialize  # noqa: E402
+from sgq.cli import main  # noqa: E402
+
+WORK = os.path.join(OUT, "_work")
+SEED = 7
+
+
+def put(name, text):
+    with open(os.path.join(OUT, name), "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def write_input(name, doc):
+    path = os.path.join(WORK, name)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(serialize.canonical_dumps(doc))
+    return path
+
+
+def cli(tag, *argv):
+    """Run one command; record its exit status, stderr and document."""
+    out = os.path.join(WORK, f"{tag}.out.json")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", out])
+    doc = ""
+    if os.path.exists(out):
+        with open(out, encoding="utf-8") as handle:
+            doc = handle.read()
+    put(f"cli_{tag}.txt", f"exit {code}\nstderr {err.getvalue()!r}\n{doc}\n")
+    return doc
+
+
+def edited(matrix, cells):
+    """A copy of matrix with the entry at each (i, j) replaced by fn(old entry, rows)."""
+    rows = [list(row) for row in matrix.entries]
+    for (i, j), fn in cells.items():
+        rows[i][j] = fn(rows[i][j], rows)
+    return SuperMatrix(matrix.ring, matrix.shape, rows)
+
+
+def proptest_reports():
+    for label, size in (("default", None), ("m3n2r2s1q5", {"m": 3, "n": 2, "r": 2, "s": 1, "q": 5})):
+        for seed in range(4):
+            put(f"proptest_{label}_{seed}.json", serialize.canonical_dumps(run_suite("all", 3, seed, size)))
+
+
+def coset_commands():
+    for profile, q, count in (((2, 2, 1, 1), 3, 6), ((3, 2, 2, 1), 3, 3), ((4, 4, 2, 2), 6, 2)):
+        m, r = profile[0], profile[2]
+        prof = ",".join(map(str, profile))
+        for index in range(count):
+            g, _, _ = inputs.coset_input(SEED, index, profile, q, 3)
+            cases = {
+                "ok": g,
+                # corner (1,1) loses its body: not in the big cell
+                "corner": edited(g, {(0, 0): lambda e, rows: e.soul()}),
+                # the first row of block 2 repeats row 0 on the even columns:
+                # g is singular, the corners are intact
+                "singular": edited(g, {(r, j): lambda e, rows, j=j: rows[0][j] for j in range(m)}) if r < m else None,
+            }
+            for kind, matrix in cases.items():
+                if matrix is None:
+                    continue
+                tag = f"{prof}_{index}_{kind}"
+                path = write_input(f"{tag}.g.json", serialize.encode_matrix(matrix))
+                cli(f"factor_{tag}", "factor", "--in", path, "--profile", prof)
+                orbit = json.loads(cli(f"orbit_{tag}", "orbit", "--in", path, "--profile", prof))
+                if orbit["ok"]:
+                    point = write_input(f"{tag}.point.json", orbit["result"])
+                    cli(f"chart-down_{tag}", "chart-down", "--in", point, "--profile", prof)
+    cli("factor_no_profile", "factor", "--in", path)
+    ring = SuperRing([], ["t1", "t2"])
+    one = ring.one()
+    g = SuperMatrix(ring, SuperShape((2, 0), (2, 0)), [[one, one], [one, one]])
+    cli("factor_2,0,1,0_singular", "factor", "--in", write_input("g2010.json", serialize.encode_matrix(g)),
+        "--profile", "2,0,1,0")
+
+
+def superlinalg_commands():
+    for m, n, q, count in ((2, 2, 2, 3), (3, 2, 2, 3), (2, 3, 3, 3), (5, 5, 2, 1)):
+        for index in range(count):
+            x, _ = inputs.superlinalg_input(SEED, index, m, n, q, 3)
+            soul = lambda e, rows: e.soul()
+            cases = {
+                "ok": x,
+                "dead_a": edited(x, {(i, j): soul for i in range(m) for j in range(m)}),
+                "dead_d": edited(x, {(i, j): soul for i in range(m, m + n) for j in range(m, m + n)}),
+            }
+            for kind, matrix in cases.items():
+                tag = f"{m}{n}{q}_{index}_{kind}"
+                path = write_input(f"{tag}.x.json", serialize.encode_matrix(matrix))
+                cli(f"minv_{tag}", "minv", "--in", path)
+                cli(f"ber_{tag}", "ber", "--in", path)
+
+
+def smooth_commands():
+    def smooth(tag, pres, values):
+        cli(f"smooth_{tag}", "smooth",
+            "--in", write_input(f"{tag}.pres.json", serialize.encode_presentation(pres)),
+            "--in2", write_input(f"{tag}.point.json", serialize.encode_rational_point(RationalPoint(values))))
+
+    for index in range(6):
+        pres, pt, _ = inputs.smooth_input(SEED, index, 2, 1, 3, 2)
+        smooth(f"{index}", pres, pt.values)
+        smooth(f"{index}_moved", pres, {**pt.values, "t": 2})
+        smooth(f"{index}_partial", pres, {k: v for k, v in pt.values.items() if k != "a01"})
+
+    base = SuperRing(["c", "e"], [])
+    total = SuperRing(["c", "e", "x", "y"], ["s", "w"])
+    gen = total.gen
+    cases = {
+        "odd_block": ([gen("x") - total.one()], [gen("c") * gen("s") + gen("w")]),
+        "even_block": ([gen("e") * (gen("y") - total.one())], [gen("s")]),
+        "base_in_relation": ([gen("c") - gen("x")], []),
+    }
+    for name, (rel_even, rel_odd) in cases.items():
+        pres = Presentation(base, ["x", "y"], ["s", "w"], rel_even, rel_odd)
+        smooth(f"{name}_fiber", pres, {"x": 1, "y": 1})
+        smooth(f"{name}_all", pres, {"x": 1, "y": 1, "c": 2, "e": 3})
+        cli(f"smooth_{name}_no_point", "smooth", "--in", os.path.join(WORK, f"{name}_all.pres.json"))
+
+
+if __name__ == "__main__":
+    os.makedirs(WORK, exist_ok=True)
+    proptest_reports()
+    coset_commands()
+    superlinalg_commands()
+    smooth_commands()
+    print(len(os.listdir(OUT)) - 1, "documents in", OUT)
