@@ -15,8 +15,9 @@ All values are immutable; every operation returns a fresh element.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import NotInvertible, ParityViolation, RingMismatch, UnknownVariable
 from .scalars import GaussianRational
@@ -79,14 +80,21 @@ def accumulate_product(dest: Dict[TermKey, GaussianRational],
                 del dest[key]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SuperRing:
-    """A free supercommutative ring, fixed by its ordered generator names."""
+    """A free supercommutative ring, fixed by its ordered generator names.
 
-    __slots__ = ("even_vars", "odd_vars", "_even_index", "_odd_index")
+    Any iterables of names are accepted and stored as tuples.
+    """
 
-    def __init__(self, even_vars: Iterable[str] = (), odd_vars: Iterable[str] = ()):
-        even = tuple(even_vars)
-        odd = tuple(odd_vars)
+    even_vars: Tuple[str, ...] = ()
+    odd_vars: Tuple[str, ...] = ()
+    _even_index: Dict[str, int] = field(init=False, compare=False)
+    _odd_index: Dict[str, int] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        even = tuple(self.even_vars)
+        odd = tuple(self.odd_vars)
         names = even + odd
         if len(set(names)) != len(names):
             raise ValueError(f"generator names must be distinct: {names}")
@@ -95,9 +103,6 @@ class SuperRing:
         object.__setattr__(self, "_even_index", {v: k for k, v in enumerate(even)})
         object.__setattr__(self, "_odd_index", {v: k for k, v in enumerate(odd)})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperRing is immutable")
-
     @property
     def n_even(self) -> int:
         return len(self.even_vars)
@@ -105,14 +110,6 @@ class SuperRing:
     @property
     def n_odd(self) -> int:
         return len(self.odd_vars)
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperRing):
-            return NotImplemented
-        return self.even_vars == other.even_vars and self.odd_vars == other.odd_vars
-
-    def __hash__(self):
-        return hash((self.even_vars, self.odd_vars))
 
     def __repr__(self):
         return f"SuperRing(even={list(self.even_vars)}, odd={list(self.odd_vars)})"
@@ -173,17 +170,12 @@ class SuperRing:
         raise UnknownVariable(f"{name!r} is not a generator of {self!r}")
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class SuperElement:
     """An element of a SuperRing in canonical sparse form."""
 
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: SuperRing, terms: Dict[TermKey, GaussianRational]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperElement is immutable")
+    ring: SuperRing
+    terms: Dict[TermKey, GaussianRational]
 
     # -- structure -----------------------------------------------------------
 
@@ -375,16 +367,21 @@ class SuperElement:
         return " + ".join(pieces).replace("+ -", "- ")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SuperHom:
     """A parity-preserving homomorphism given by images of the generators.
 
     Applying it to an element is substitution; this is exactly the data of a
-    point of the source ring with values in the target.
+    point of the source ring with values in the target.  The images are
+    copied into a dict of the hom's own.
     """
 
-    __slots__ = ("source", "target", "images")
+    source: SuperRing
+    target: SuperRing
+    images: Dict[str, SuperElement]
 
-    def __init__(self, source: SuperRing, target: SuperRing, images: Mapping[str, SuperElement]):
+    def __post_init__(self):
+        source, target, images = self.source, self.target, self.images
         missing = set(source.even_vars + source.odd_vars) - set(images)
         if missing:
             raise UnknownVariable(f"no image given for generators {sorted(missing)}")
@@ -397,12 +394,7 @@ class SuperHom:
             if not image.has_parity(source.parity_of_var(name)):
                 kind = "even" if source.parity_of_var(name) == 0 else "odd"
                 raise ParityViolation(f"image of {kind} variable {name!r} is not {kind}: {image!r}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", dict(images))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperHom is immutable")
 
     def __call__(self, element: SuperElement) -> SuperElement:
         if element.ring != self.source:

@@ -55,14 +55,17 @@ def _emit(doc, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _block_profile(values, flag: str) -> BlockProfile:
+    try:
+        return BlockProfile(*values)
+    except ValueError as exc:
+        raise SchemaError(f"{flag}: {exc}") from None
+
+
 def _profile_arg(args) -> BlockProfile:
     if not args.profile:
         raise SchemaError(f"--profile is required for the {args.command} command")
-    m, n, r, s = _parse_ints(args.profile, (4,), "--profile")
-    try:
-        return BlockProfile(m, n, r, s)
-    except ValueError as exc:
-        raise SchemaError(f"--profile: {exc}") from None
+    return _block_profile(_parse_ints(args.profile, (4,), "--profile"), "--profile")
 
 
 def _run_ber(args):
@@ -134,11 +137,16 @@ def _run_smooth(args):
 
 
 def _run_proptest(args):
+    if args.trials < 0:
+        raise SchemaError("--trials must be at least 0")
     size = None
     if args.size:
         values = _parse_ints(args.size, (5, 6), "--size")
+        _block_profile(values[:4], "--size")
         keys = ["m", "n", "r", "s", "q", "coeff_bound"]
         size = dict(zip(keys, values))
+        if size["q"] < 0:
+            raise SchemaError("--size: q must be at least 0")
         if size.get("coeff_bound", 1) < 1:
             raise SchemaError("--size: coeff must be at least 1")
     return run_suite(args.suite, args.trials, args.seed, size)

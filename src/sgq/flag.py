@@ -49,6 +49,13 @@ class BlockProfile:
     def block_parity(self, k: int) -> int:
         return 0 if k <= 2 else 1
 
+    def block_shape(self, i: int, j: int) -> SuperShape:
+        """The shape of block (i, j): blocks 1 and 2 are even, 3 and 4 odd."""
+        sizes = self.sizes
+        rows = (sizes[i - 1], 0) if self.block_parity(i) == 0 else (0, sizes[i - 1])
+        cols = (sizes[j - 1], 0) if self.block_parity(j) == 0 else (0, sizes[j - 1])
+        return SuperShape(rows, cols)
+
     @property
     def square_shape(self) -> SuperShape:
         return SuperShape((self.m, self.n), (self.m, self.n))
@@ -69,34 +76,28 @@ def split_blocks(g: SuperMatrix, bp: BlockProfile) -> Dict[Tuple[int, int], Supe
     }
 
 
+# the free blocks of N, by field name, at their (row block, column block)
+_FREE_BLOCKS = {"u": (2, 1), "eta": (2, 4), "xi": (3, 1), "v": (3, 4)}
+
+
+@dataclass(frozen=True, slots=True, repr=False)
 class NCoordinates:
     """The free blocks u, eta, xi, v of a unipotent-complement element."""
 
-    __slots__ = ("profile", "u", "eta", "xi", "v")
+    profile: BlockProfile
+    u: SuperMatrix
+    eta: SuperMatrix
+    xi: SuperMatrix
+    v: SuperMatrix
 
-    def __init__(self, profile: BlockProfile, u: SuperMatrix, eta: SuperMatrix, xi: SuperMatrix, v: SuperMatrix):
-        r, m_r, n_s, s = profile.sizes
-        expected = {
-            "u": SuperShape((m_r, 0), (r, 0)),
-            "eta": SuperShape((m_r, 0), (0, s)),
-            "xi": SuperShape((0, n_s), (r, 0)),
-            "v": SuperShape((0, n_s), (0, s)),
-        }
-        blocks = {"u": u, "eta": eta, "xi": xi, "v": v}
-        ring = u.ring
-        for name, block in blocks.items():
-            if block.shape != expected[name]:
-                raise ShapeMismatch(f"block {name} has shape {block.shape}, expected {expected[name]}")
-            if block.ring != ring:
+    def __post_init__(self):
+        for name, (i, j) in _FREE_BLOCKS.items():
+            block = getattr(self, name)
+            expected = self.profile.block_shape(i, j)
+            if block.shape != expected:
+                raise ShapeMismatch(f"block {name} has shape {block.shape}, expected {expected}")
+            if block.ring != self.u.ring:
                 raise ShapeMismatch(f"block {name} lives in a different ring")
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCoordinates is immutable")
 
     @property
     def ring(self) -> SuperRing:
@@ -104,54 +105,22 @@ class NCoordinates:
 
     @classmethod
     def zero(cls, ring: SuperRing, profile: BlockProfile) -> "NCoordinates":
-        r, m_r, n_s, s = profile.sizes
-        return cls(
-            profile,
-            SuperMatrix.zeros(ring, SuperShape((m_r, 0), (r, 0))),
-            SuperMatrix.zeros(ring, SuperShape((m_r, 0), (0, s))),
-            SuperMatrix.zeros(ring, SuperShape((0, n_s), (r, 0))),
-            SuperMatrix.zeros(ring, SuperShape((0, n_s), (0, s))),
-        )
+        return cls(profile, *(SuperMatrix.zeros(ring, profile.block_shape(i, j))
+                              for i, j in _FREE_BLOCKS.values()))
 
     def is_zero(self) -> bool:
         return self.u.is_zero() and self.eta.is_zero() and self.xi.is_zero() and self.v.is_zero()
 
-    def __eq__(self, other):
-        if not isinstance(other, NCoordinates):
-            return NotImplemented
-        return (
-            self.profile == other.profile
-            and self.u == other.u
-            and self.eta == other.eta
-            and self.xi == other.xi
-            and self.v == other.v
-        )
-
-    def __hash__(self):
-        return hash((self.profile, self.u, self.eta, self.xi, self.v))
-
     def __repr__(self):
         return f"NCoordinates(u={self.u!r}, eta={self.eta!r}, xi={self.xi!r}, v={self.v!r})"
-
-
-def _identity_block(ring: SuperRing, size: int, parity: int) -> SuperMatrix:
-    return SuperMatrix.identity(ring, size, 0) if parity == 0 else SuperMatrix.identity(ring, 0, size)
-
-
-def _zero_block(ring: SuperRing, bp: BlockProfile, i: int, j: int) -> SuperMatrix:
-    sizes = bp.sizes
-    rows = (sizes[i - 1], 0) if bp.block_parity(i) == 0 else (0, sizes[i - 1])
-    cols = (sizes[j - 1], 0) if bp.block_parity(j) == 0 else (0, sizes[j - 1])
-    return SuperMatrix.zeros(ring, SuperShape(rows, cols))
 
 
 def assemble(coords: NCoordinates) -> SuperMatrix:
     """The unipotent-complement matrix with the given free blocks."""
     bp = coords.profile
     ring = coords.ring
-    sizes = bp.sizes
-    eye = [_identity_block(ring, sizes[k - 1], bp.block_parity(k)) for k in range(1, 5)]
-    z = lambda i, j: _zero_block(ring, bp, i, j)
+    eye = [SuperMatrix.identity(ring, *bp.block_shape(k, k).rows) for k in range(1, 5)]
+    z = lambda i, j: SuperMatrix.zeros(ring, bp.block_shape(i, j))
     grid = [
         [eye[0], z(1, 2), z(1, 3), z(1, 4)],
         [coords.u, eye[1], z(2, 3), coords.eta],
@@ -176,9 +145,8 @@ def standard_parabolic_member(g: SuperMatrix, bp: BlockProfile) -> bool:
 def n_member(g: SuperMatrix, bp: BlockProfile) -> bool:
     """Identity diagonal blocks, free N-position blocks, zero elsewhere."""
     b = split_blocks(g, bp)
-    sizes = bp.sizes
     for k in range(1, 5):
-        if b[(k, k)] != _identity_block(g.ring, sizes[k - 1], bp.block_parity(k)):
+        if b[(k, k)] != SuperMatrix.identity(g.ring, *bp.block_shape(k, k).rows):
             return False
     fixed_zero = ((1, 2), (1, 3), (1, 4), (2, 3), (3, 2), (4, 1), (4, 2), (4, 3))
     return all(b[pos].is_zero() for pos in fixed_zero)
@@ -219,7 +187,7 @@ def normal_form(g: SuperMatrix, bp: BlockProfile) -> Tuple[NCoordinates, SuperMa
 
     coords = NCoordinates(bp, u, eta, xi, v)
     ring = g.ring
-    z = lambda i, j: _zero_block(ring, bp, i, j)
+    z = lambda i, j: SuperMatrix.zeros(ring, bp.block_shape(i, j))
     p = block_matrix([
         [b[(1, 1)], b[(1, 2)], b[(1, 3)], b[(1, 4)]],
         [z(2, 1), b[(2, 2)] - u * b[(1, 2)] - eta * b[(4, 2)],

@@ -13,6 +13,7 @@ basis directions, matching the four-block split of the profile.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Tuple
 
@@ -22,22 +23,24 @@ from .flag import BlockProfile, NCoordinates, assemble
 from .matrix import SuperMatrix, SuperShape, is_invertible, sm_inv
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class GrassmannianPoint:
-    """A full-rank framed span over a profile."""
+    """A full-rank framed span over a profile.
 
-    __slots__ = ("profile", "span")
+    Equality is identity; `points_equal` decides whether two spans are the
+    same point.
+    """
 
-    def __init__(self, profile: BlockProfile, span: SuperMatrix):
+    profile: BlockProfile
+    span: SuperMatrix
+
+    def __post_init__(self):
+        profile, span = self.profile, self.span
         expected = SuperShape((profile.m, profile.n), (profile.r, profile.s))
         if span.shape != expected:
             raise ShapeMismatch(f"span shape {span.shape} does not match profile {profile}")
         if _first_valid_choice(span, profile) is None:
             raise RankDeficient("no choice of r even and s odd rows has invertible body")
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "span", span)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassmannianPoint is immutable")
 
     @property
     def ring(self) -> SuperRing:

@@ -50,13 +50,20 @@ class SuperShape:
         return self.rows == self.cols
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SuperMatrix:
-    """An immutable matrix of SuperElements satisfying the parity pattern."""
+    """An immutable matrix of SuperElements satisfying the parity pattern.
 
-    __slots__ = ("ring", "shape", "entries")
+    Any nested sequences of entries are accepted and stored as tuples.
+    """
 
-    def __init__(self, ring: SuperRing, shape: SuperShape, entries: Sequence[Sequence[SuperElement]]):
-        rows = tuple(tuple(row) for row in entries)
+    ring: SuperRing
+    shape: SuperShape
+    entries: Tuple[Tuple[SuperElement, ...], ...]
+
+    def __post_init__(self):
+        ring, shape = self.ring, self.shape
+        rows = tuple(tuple(row) for row in self.entries)
         if len(rows) != shape.n_rows or any(len(row) != shape.n_cols for row in rows):
             raise ShapeMismatch(f"entry array does not match shape {shape}")
         for i, row in enumerate(rows):
@@ -67,12 +74,7 @@ class SuperMatrix:
                 if not entry.has_parity(forced):
                     kind = "even" if forced == 0 else "odd"
                     raise ParityPatternViolation(f"entry ({i}, {j}) must be {kind}: {entry!r}")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperMatrix is immutable")
 
     # -- constructors ----------------------------------------------------------
 
@@ -171,14 +173,6 @@ class SuperMatrix:
                 row.append(SuperElement(self.ring, terms))
             rows.append(row)
         return SuperMatrix._raw(self.ring, shape, rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperMatrix):
-            return NotImplemented
-        return self.ring == other.ring and self.shape == other.shape and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.ring, self.shape, self.entries))
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(repr(e) for e in row) + "]" for row in self.entries)

@@ -136,14 +136,9 @@ def _soul_perturbation(ring: SuperRing, rng: Random, m: int, n: int, bound: int,
 
 def random_invertible(ring: SuperRing, rng: Random, m: int, n: int,
                       bound: int = DEFAULT_COEFF_BOUND) -> SuperMatrix:
-    """(I + soul) * block-diagonal numeric invertible body."""
-    a0 = _random_numeric_invertible(ring, rng, m, 0, bound)
-    d0 = _random_numeric_invertible(ring, rng, n, 1, bound)
-    zero_tr = SuperMatrix.zeros(ring, SuperShape((m, 0), (0, n)))
-    zero_bl = SuperMatrix.zeros(ring, SuperShape((0, n), (m, 0)))
-    body = block_matrix([[a0, zero_tr], [zero_bl, d0]])
-    eye = SuperMatrix.identity(ring, m, n)
-    return (eye + _soul_perturbation(ring, rng, m, n, bound)) * body
+    """(I + soul) * block-diagonal numeric invertible body; with r = s = 0,
+    random_big_cell constrains no corner minor."""
+    return random_big_cell(ring, BlockProfile(m, n, 0, 0), rng, bound)
 
 
 def random_big_cell(ring: SuperRing, bp: BlockProfile, rng: Random,
@@ -169,10 +164,7 @@ def random_parabolic(ring: SuperRing, bp: BlockProfile, rng: Random,
         row = []
         for j in range(1, 5):
             rp, cp = bp.block_parity(i), bp.block_parity(j)
-            shape = SuperShape(
-                (sizes[i - 1], 0) if rp == 0 else (0, sizes[i - 1]),
-                (sizes[j - 1], 0) if cp == 0 else (0, sizes[j - 1]),
-            )
+            shape = bp.block_shape(i, j)
             if (i, j) not in free:
                 row.append(SuperMatrix.zeros(ring, shape))
             elif i == j:
@@ -201,24 +193,18 @@ def random_element_even(ring: SuperRing, rng: Random, bound: int = DEFAULT_COEFF
 
 def random_ncoords(ring: SuperRing, bp: BlockProfile, rng: Random,
                    bound: int = DEFAULT_COEFF_BOUND) -> NCoordinates:
-    r, m_r, n_s, s = bp.sizes
-
-    def fill(height, width, shape, parity):
+    def fill(i, j):
+        shape = bp.block_shape(i, j)
+        parity = (bp.block_parity(i) + bp.block_parity(j)) % 2
         entries = [
             [random_soul(ring, rng, parity=parity, bound=bound) if parity
              else random_element_even(ring, rng, bound)
-             for _ in range(width)]
-            for _ in range(height)
+             for _ in range(shape.n_cols)]
+            for _ in range(shape.n_rows)
         ]
         return SuperMatrix(ring, shape, entries)
 
-    return NCoordinates(
-        bp,
-        fill(m_r, r, SuperShape((m_r, 0), (r, 0)), 0),
-        fill(m_r, s, SuperShape((m_r, 0), (0, s)), 1),
-        fill(n_s, r, SuperShape((0, n_s), (r, 0)), 1),
-        fill(n_s, s, SuperShape((0, n_s), (0, s)), 0),
-    )
+    return NCoordinates(bp, fill(2, 1), fill(2, 4), fill(3, 1), fill(3, 4))
 
 
 def random_big_cell_point(ring: SuperRing, bp: BlockProfile, rng: Random,

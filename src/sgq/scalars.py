@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -10,20 +11,19 @@ RationalLike = Union[int, Fraction, "GaussianRational"]
 _ZERO = Fraction(0)
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class GaussianRational:
     """An element of Q(i), stored as an exact pair of Fractions.
 
     Immutable.  All arithmetic is exact; there is no float path anywhere.
     """
 
-    __slots__ = ("re", "im")
+    re: Fraction
+    im: Fraction
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     @staticmethod
     def coerce(value: RationalLike) -> "GaussianRational":

@@ -30,11 +30,17 @@ def _expect(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _get(obj, key, kind, where):
     _expect(isinstance(obj, dict), f"{where}: expected an object")
     _expect(key in obj, f"{where}: missing key {key!r}")
     value = obj[key]
-    _expect(isinstance(value, kind), f"{where}.{key}: wrong type {type(value).__name__}")
+    _expect(isinstance(value, kind) and not isinstance(value, bool),
+            f"{where}.{key}: wrong type {type(value).__name__}")
     return value
 
 
@@ -97,8 +103,8 @@ def parse_element(obj, ring: SuperRing = None, where="element") -> SuperElement:
         coeff = parse_coeff(_get(item, "coeff", (dict, str), spot), f"{spot}.coeff")
         exp = _get(item, "exp", list, spot)
         odd = _get(item, "odd", list, spot)
-        _expect(all(isinstance(e, int) for e in exp), f"{spot}.exp: must be integers")
-        _expect(all(isinstance(i, int) for i in odd), f"{spot}.odd: must be integers")
+        _expect(all(_is_int(e) for e in exp), f"{spot}.exp: must be integers")
+        _expect(all(_is_int(i) for i in odd), f"{spot}.odd: must be integers")
         key = (tuple(exp), tuple(odd))
         _expect(key not in terms, f"{spot}: duplicate monomial")
         terms[key] = coeff
@@ -123,7 +129,7 @@ def parse_matrix(obj, ring: SuperRing = None, where="matrix") -> SuperMatrix:
     rows = _get(shape_obj, "rows", list, f"{where}.shape")
     cols = _get(shape_obj, "cols", list, f"{where}.shape")
     _expect(
-        len(rows) == 2 and len(cols) == 2 and all(isinstance(k, int) and k >= 0 for k in rows + cols),
+        len(rows) == 2 and len(cols) == 2 and all(_is_int(k) and k >= 0 for k in rows + cols),
         f"{where}.shape: rows and cols must be pairs of nonnegative integers",
     )
     shape = SuperShape((rows[0], rows[1]), (cols[0], cols[1]))
@@ -202,7 +208,7 @@ def parse_ncoords(obj, ring: SuperRing = None, where="ncoords") -> NCoordinates:
     profile = BlockProfile(m_r + r, n_s + s, r, s)
     try:
         return NCoordinates(profile, u, eta, xi, v)
-    except Exception as exc:
+    except ShapeMismatch as exc:
         raise SchemaError(f"{where}: inconsistent block shapes: {exc}") from None
 
 

@@ -12,8 +12,8 @@ by exact Gaussian elimination over Q(i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import SuperElement, SuperHom, SuperRing
 from .errors import NotAPoint, ParityViolation, UnassignedVariable
@@ -21,22 +21,27 @@ from .matrix import SuperMatrix, SuperShape, det_even
 from .scalars import GaussianRational
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Presentation:
-    """Generators and relations over a base ring."""
+    """Generators and relations over a base ring.
 
-    __slots__ = ("base", "fiber_even", "fiber_odd", "relations_even", "relations_odd", "total_ring")
+    Sequences of names and relations are stored as tuples; `total_ring` is
+    the base ring with the fiber variables adjoined.
+    """
 
-    def __init__(
-        self,
-        base: SuperRing,
-        fiber_even: Sequence[str],
-        fiber_odd: Sequence[str],
-        relations_even: Sequence[SuperElement] = (),
-        relations_odd: Sequence[SuperElement] = (),
-    ):
-        total = SuperRing(base.even_vars + tuple(fiber_even), base.odd_vars + tuple(fiber_odd))
-        rel_even = tuple(relations_even)
-        rel_odd = tuple(relations_odd)
+    base: SuperRing
+    fiber_even: Tuple[str, ...]
+    fiber_odd: Tuple[str, ...]
+    relations_even: Tuple[SuperElement, ...] = ()
+    relations_odd: Tuple[SuperElement, ...] = ()
+    total_ring: SuperRing = field(init=False)
+
+    def __post_init__(self):
+        base = self.base
+        fiber_even, fiber_odd = tuple(self.fiber_even), tuple(self.fiber_odd)
+        total = SuperRing(base.even_vars + fiber_even, base.odd_vars + fiber_odd)
+        rel_even = tuple(self.relations_even)
+        rel_odd = tuple(self.relations_odd)
         for parity, rels in ((0, rel_even), (1, rel_odd)):
             for k, rel in enumerate(rels):
                 if rel.ring != total:
@@ -49,29 +54,26 @@ class Presentation:
                 f"relation counts ({len(rel_even)}|{len(rel_odd)}) exceed fiber variable "
                 f"counts ({len(fiber_even)}|{len(fiber_odd)}); the rank test cannot reach them"
             )
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "fiber_even", tuple(fiber_even))
-        object.__setattr__(self, "fiber_odd", tuple(fiber_odd))
+        object.__setattr__(self, "fiber_even", fiber_even)
+        object.__setattr__(self, "fiber_odd", fiber_odd)
         object.__setattr__(self, "relations_even", rel_even)
         object.__setattr__(self, "relations_odd", rel_odd)
         object.__setattr__(self, "total_ring", total)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Presentation is immutable")
 
-
+@dataclass(frozen=True, slots=True, eq=False)
 class RationalPoint:
-    """Exact values for even variables; odd variables are implicitly zero."""
+    """Exact values for even variables; odd variables are implicitly zero.
 
-    __slots__ = ("values",)
+    The values are coerced to Gaussian rationals in a dict of the point's own.
+    """
 
-    def __init__(self, values: Mapping[str, object]):
+    values: Dict[str, GaussianRational]
+
+    def __post_init__(self):
         object.__setattr__(
-            self, "values", {name: GaussianRational.coerce(v) for name, v in values.items()}
+            self, "values", {name: GaussianRational.coerce(v) for name, v in self.values.items()}
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPoint is immutable")
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,20 @@ def test_proptest_rejects_nonpositive_coeff_bound(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--size", "2,2,3,1,4"], "--size"),
+    (["--size=-1,2,0,1,4"], "--size"),
+    (["--size", "2,2,1,1,-1"], "--size"),
+    (["--trials", "-3"], "--trials"),
+])
+def test_proptest_rejects_bad_size_and_trials(tmp_path, capsys, argv, flag):
+    out = tmp_path / "report.json"
+    code = run_cli("proptest", "--suite", "factorization", "--out", str(out), *argv)
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_matrix_suite_seeded_run(tmp_path):
     out = tmp_path / "report.json"
     code = run_cli("proptest", "--suite", "matrix", "--trials", "10", "--seed", "42",

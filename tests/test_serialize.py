@@ -59,6 +59,23 @@ def test_element_schema_errors(grassmann2):
         parse_element(bad_odd)
 
 
+def _one_term(exp, odd):
+    return {"ring": {"even": ["x"], "odd": ["t1", "t2"]},
+            "terms": [{"coeff": "1", "exp": exp, "odd": odd}]}
+
+
+@pytest.mark.parametrize("parse, doc", [
+    (parse_element, _one_term([True], [])),
+    (parse_element, _one_term([0], [True])),
+    (parse_profile, {"m": True, "n": 1, "r": 0, "s": 0}),
+    (parse_matrix, {"shape": {"rows": [True, 0], "cols": [1, 0]},
+                    "entries": [[_one_term([0], [])]]}),
+])
+def test_json_booleans_are_not_integers(parse, doc):
+    with pytest.raises(SchemaError):
+        parse(doc)
+
+
 def test_matrix_roundtrip(grassmann4):
     matrix = random_big_cell(grassmann4, BP, trial_rng(3, "matrix", 0))
     assert parse_matrix(encode_matrix(matrix)) == matrix
@@ -84,6 +101,13 @@ def test_ncoords_roundtrip(grassmann4):
     parsed = parse_ncoords(encode_ncoords(coords))
     assert parsed == coords
     assert parsed.profile == BP
+
+
+def test_ncoords_inconsistent_blocks_are_schema_error(grassmann4):
+    doc = encode_ncoords(random_ncoords(grassmann4, BP, trial_rng(3, "nc", 1)))
+    doc["eta"] = encode_ncoords(random_ncoords(grassmann4, BlockProfile(2, 3, 1, 2), trial_rng(3, "nc", 2)))["eta"]
+    with pytest.raises(SchemaError, match="inconsistent block shapes"):
+        parse_ncoords(doc)
 
 
 def test_point_roundtrip(grassmann4):
