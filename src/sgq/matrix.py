@@ -7,8 +7,13 @@ multiplication needs no extra signs.
 
 Determinants over the (commutative) even subring are computed division-free
 by dynamic programming over column subsets, so they are valid over rings with
-zero divisors; inverses of all-even matrices go through the adjugate, the
-only division being by the unit determinant.
+zero divisors.  Inverses of all-even matrices go through Gauss-Jordan
+elimination with unit pivots, which yields the determinant on the way: when
+every body is constant the ring is local, a unit is exactly an element with
+nonzero body, and a unit pivot exists in every column of an invertible
+matrix.  Only when the elimination stalls (a non-unit determinant, or bodies
+that involve even generators) does the inverse fall back to the adjugate,
+the only division being by the unit determinant.
 """
 
 from __future__ import annotations
@@ -231,19 +236,59 @@ def det_even(matrix: SuperMatrix) -> SuperElement:
     return partial.get((1 << n) - 1, ring.zero())
 
 
-def inv_even(matrix: SuperMatrix) -> SuperMatrix:
-    """Inverse of an all-even square matrix via the adjugate.
+def _unit_pivot_elimination(matrix: SuperMatrix):
+    """Gauss-Jordan on [matrix | I] with unit pivots: (det, inverse), or None.
 
-    Works whenever the determinant is a unit, which is exactly when the body
-    of the determinant is a nonzero constant.
+    The pivot of each column is the first remaining row whose entry is a
+    unit; None reports a stall, a column without one.  The determinant is
+    the product of the pivots times the sign of the row swaps.
     """
-    det = det_even(matrix)
-    if not det.is_unit():
-        raise NotInvertible(f"determinant is not a unit: body {det.body()!r}")
+    ring = matrix.ring
+    n = matrix.n_rows
+    one, zero = ring.one(), ring.zero()
+    rows = [list(row) + [one if i == j else zero for j in range(n)]
+            for i, row in enumerate(matrix.entries)]
+    det = one
+    swaps = 0
+    for col in range(n):
+        pick = next((r for r in range(col, n) if rows[r][col].is_unit()), None)
+        if pick is None:
+            return None
+        if pick != col:
+            rows[col], rows[pick] = rows[pick], rows[col]
+            swaps += 1
+        pivot_row = rows[col]
+        pivot = pivot_row[col]
+        det = pivot if col == 0 else det * pivot
+        pivot_inv = pivot.inv()
+        pivot_row[col] = one
+        # earlier columns are already cleared in the pivot row; the identity
+        # one of the augmented half scales to the pivot inverse itself
+        live = []
+        for j in range(col + 1, 2 * n):
+            entry = pivot_row[j]
+            if entry.terms:
+                pivot_row[j] = pivot_inv if entry is one else entry * pivot_inv
+                live.append(j)
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r == col or not factor.terms:
+                continue
+            minus_factor = (-factor).terms
+            for j in live:
+                terms = dict(row[j].terms)
+                accumulate_product(terms, minus_factor, pivot_row[j].terms)
+                row[j] = SuperElement(ring, terms)
+            row[col] = zero
+    if swaps % 2:
+        det = -det
+    return det, SuperMatrix._raw(ring, matrix.shape, [row[n:] for row in rows])
+
+
+def _adjugate_inverse(matrix: SuperMatrix, det: SuperElement) -> SuperMatrix:
+    """Inverse as adjugate / det, from n^2 cofactor determinants; det a unit."""
     det_inv = det.inv()
     n = matrix.n_rows
-    if n == 0:
-        return matrix
     indices = list(range(n))
     rows = []
     for i in range(n):
@@ -257,6 +302,36 @@ def inv_even(matrix: SuperMatrix) -> SuperMatrix:
             row.append(cof * det_inv)
         rows.append(row)
     return SuperMatrix(matrix.ring, matrix.shape, rows)
+
+
+def _det_and_inverse(matrix: SuperMatrix):
+    """(det, inverse) of an all-even square matrix; inverse None if det is no unit.
+
+    Unit-pivot elimination gives both.  On a stall the subset-DP determinant
+    decides, and a unit determinant is inverted through the adjugate.
+    """
+    if matrix.n_rows != matrix.n_cols:
+        raise ShapeMismatch("determinant of a non-square matrix")
+    _require_all_even(matrix, "det_even")
+    eliminated = _unit_pivot_elimination(matrix)
+    if eliminated is not None:
+        return eliminated
+    det = det_even(matrix)
+    if not det.is_unit():
+        return det, None
+    return det, _adjugate_inverse(matrix, det)
+
+
+def inv_even(matrix: SuperMatrix) -> SuperMatrix:
+    """Inverse of an all-even square matrix.
+
+    Works whenever the determinant is a unit, which is exactly when the body
+    of the determinant is a nonzero constant.
+    """
+    det, inverse = _det_and_inverse(matrix)
+    if inverse is None:
+        raise NotInvertible(f"determinant is not a unit: body {det.body()!r}")
+    return inverse
 
 
 def block_matrix(grid: Sequence[Sequence[SuperMatrix]]) -> SuperMatrix:
@@ -336,9 +411,8 @@ def berezinian(matrix: SuperMatrix) -> SuperElement:
     if not matrix.shape.is_square:
         raise ShapeMismatch(f"Berezinian of non-square shape {matrix.shape}")
     a, b, c, d = _parity_blocks(matrix)
-    det_d = det_even(d)
-    if not det_d.is_unit():
+    det_d, d_inv = _det_and_inverse(d)
+    if d_inv is None:
         raise NotInvertible(f"odd-odd block is singular: body determinant {det_d.body()!r}")
-    d_inv = inv_even(d)
     schur = a - b * d_inv * c
     return det_even(schur) * det_d.inv()

@@ -48,6 +48,10 @@ def _get(obj, key, kind, where):
 
 
 def _fraction_from_str(text: str, where: str) -> Fraction:
+    # Fraction accepts exponent notation, and "1e999999999" would build a
+    # billion-digit integer; emitted coefficients never carry an exponent
+    if "e" in text or "E" in text:
+        raise SchemaError(f"{where}: bad rational {text!r}: exponent notation is not accepted")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -149,6 +149,16 @@ def test_schema_violation_exit_code(tmp_path, capsys):
     assert run_cli("ber", "--in", str(path)) == 2
 
 
+@pytest.mark.parametrize("coeff", ["1e3", {"re": "1", "im": "2E1"}])
+def test_exponent_coefficient_is_malformed(tmp_path, capsys, coeff):
+    # Fraction would expand an exponent to all its digits; the parser refuses it
+    entry = {"ring": {"even": [], "odd": []}, "terms": [{"coeff": coeff, "exp": [], "odd": []}]}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"shape": {"rows": [1, 0], "cols": [1, 0]}, "entries": [[entry]]}))
+    assert run_cli("ber", "--in", str(path)) == 2
+    assert "exponent notation" in capsys.readouterr().err
+
+
 def test_missing_profile_is_malformed(small_matrix_doc, capsys):
     assert run_cli("factor", "--in", str(small_matrix_doc)) == 2
     assert "--profile" in capsys.readouterr().err

@@ -15,7 +15,9 @@ from sgq import (
     is_invertible,
     sm_inv,
 )
-from sgq.sampling import random_invertible, trial_rng
+from sgq.matrix import _adjugate_inverse, _unit_pivot_elimination
+from sgq import sampling
+from sgq.sampling import random_invertible, random_soul, trial_rng
 
 
 def sq(ring, rows):
@@ -84,11 +86,11 @@ def test_singular_body_reports_block(grassmann2):
     matrix = sq(grassmann2, [[t1t2, grassmann2.zero()], [grassmann2.zero(), grassmann2.one()]])
     with pytest.raises(NotInvertible) as err:
         sm_inv(matrix)
-    assert "even-even" in str(err.value)
+    assert str(err.value) == "even-even block is singular: determinant is not a unit: body 0"
     matrix = sq(grassmann2, [[grassmann2.one(), grassmann2.zero()], [grassmann2.zero(), t1t2]])
     with pytest.raises(NotInvertible) as err:
         sm_inv(matrix)
-    assert "odd-odd" in str(err.value)
+    assert str(err.value) == "odd-odd block is singular: determinant is not a unit: body 0"
 
 
 def test_determinant_division_free_on_zero_divisors():
@@ -107,6 +109,9 @@ def test_inv_even_with_polynomial_entries():
     x, one = ring.gen("x"), ring.one()
     matrix = SuperMatrix(ring, SuperShape((2, 0), (2, 0)), [[x, x + one], [x - one, x]])
     assert det_even(matrix).is_one()
+    # no entry of the first column is a unit: the elimination stalls and
+    # the adjugate inverts
+    assert _unit_pivot_elimination(matrix) is None
     assert matrix * inv_even(matrix) == SuperMatrix.identity(ring, 2, 0)
 
 
@@ -130,8 +135,9 @@ def test_berezinian_formula_case(grassmann2):
 def test_berezinian_requires_invertible_odd_block(grassmann2):
     matrix = sq(grassmann2, [[grassmann2.one(), grassmann2.zero()],
                              [grassmann2.zero(), grassmann2.gen("t1") * grassmann2.gen("t2")]])
-    with pytest.raises(NotInvertible):
+    with pytest.raises(NotInvertible) as err:
         berezinian(matrix)
+    assert str(err.value) == "odd-odd block is singular: body determinant 0"
 
 
 def test_berezinian_multiplicative_spot(grassmann4):
@@ -163,3 +169,125 @@ def test_is_invertible_detects_soul_body(grassmann2):
     assert is_invertible(good)
     bad = sq(grassmann2, [[t1t2, grassmann2.gen("t1")], [grassmann2.zero(), grassmann2.one()]])
     assert not is_invertible(bad)
+
+
+# -- unit-pivot elimination against the adjugate and the subset DP ---------------
+
+
+def _even_square(ring, rows):
+    n = len(rows)
+    return SuperMatrix(ring, SuperShape((n, 0), (n, 0)), rows)
+
+
+def _check_against_oracles(matrix):
+    det, inverse = _unit_pivot_elimination(matrix)
+    assert det == det_even(matrix)
+    assert inv_even(matrix) == inverse == _adjugate_inverse(matrix, det)
+    return det
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("n", range(7))
+def test_elimination_matches_adjugate_and_dp(n, q):
+    ring = SuperRing([], [f"t{k}" for k in range(1, q + 1)])
+    rng = trial_rng(5, f"test.elim.{q}", n)
+    matrix = random_invertible(ring, rng, n, 0, bound=3)
+    _check_against_oracles(matrix)
+    if n >= 2:
+        # a zero body at (0, 0) forces a row swap in the first column
+        rows = [list(row) for row in matrix.entries]
+        rows[0][0] = random_soul(ring, rng, parity=0)
+        _check_against_oracles(_even_square(ring, rows[::-1]))
+        _check_against_oracles(_even_square(ring, rows))
+
+
+def test_elimination_sign_after_one_row_swap(grassmann4):
+    # body [[0, 1], [1, 0]]: one swap, so the determinant's body is -1
+    soul = lambda i: random_soul(grassmann4, trial_rng(5, "test.swap1", i), parity=0)
+    one = grassmann4.one()
+    matrix = _even_square(grassmann4, [[soul(0), one + soul(1)], [one + soul(2), soul(3)]])
+    assert not matrix[0, 0].is_unit()
+    det = _check_against_oracles(matrix)
+    assert det.body() == -one
+
+
+def test_elimination_sign_after_two_row_swaps(grassmann4):
+    # body of a 3-cycle: column 0 swaps rows 0 and 2, column 1 swaps rows 1
+    # and 2, and the even permutation leaves the determinant's body at +1
+    one = grassmann4.one()
+    rng = trial_rng(5, "test.swap2", 0)
+    body = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    matrix = _even_square(grassmann4, [[(one if b else grassmann4.zero()) + random_soul(grassmann4, rng, parity=0)
+                                        for b in row] for row in body])
+    det = _check_against_oracles(matrix)
+    assert det.body() == one
+
+
+def test_elimination_stalls_on_singular_body(grassmann4):
+    rng = trial_rng(5, "test.stall", 0)
+    one = grassmann4.one()
+    rows = [[one + random_soul(grassmann4, rng, parity=0) for _ in range(3)] for _ in range(3)]
+    matrix = _even_square(grassmann4, rows)
+    assert _unit_pivot_elimination(matrix) is None
+    with pytest.raises(NotInvertible) as err:
+        inv_even(matrix)
+    assert str(err.value) == "determinant is not a unit: body 0"
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 4)])
+def test_berezinian_through_even_block(grassmann4, m, n):
+    # Deligne-Morgan: Ber = det(A) * det(D - C A^-1 B)^-1 for invertible A
+    x = random_invertible(grassmann4, trial_rng(5, "test.ber.a", 10 * m + n), m, n, bound=3)
+    a = x.select(range(m), range(m))
+    b = x.select(range(m), range(m, m + n))
+    c = x.select(range(m, m + n), range(m))
+    d = x.select(range(m, m + n), range(m, m + n))
+    assert berezinian(x) == det_even(a) * det_even(d - c * inv_even(a) * b).inv()
+
+
+def test_inv_even_rejects_odd_entries(grassmann2):
+    t1, one = grassmann2.gen("t1"), grassmann2.one()
+    # a pattern-valid (1|1) matrix whose off-diagonal entries are odd
+    with pytest.raises(ShapeMismatch) as err:
+        inv_even(sq(grassmann2, [[one, t1], [grassmann2.zero(), one]]))
+    assert str(err.value) == "det_even requires all-even entries, found t1"
+
+
+def test_sympy_oracle_over_polynomial_bodies():
+    sympy = pytest.importorskip("sympy")
+    ring = SuperRing(["x"], [])
+    x = sympy.Symbol("x")
+    rng = trial_rng(5, "test.sympy", 0)
+
+    def to_sympy(element):
+        return sum((sympy.Rational(c.re.numerator, c.re.denominator)
+                    + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)) * x ** exp[0]
+                   for (exp, _), c in element.terms.items())
+
+    def matrix_to_sympy(matrix):
+        return sympy.Matrix([[to_sympy(e) for e in row] for row in matrix.entries])
+
+    def poly(degree):
+        return sum((ring.scalar(sampling.random_scalar(rng, 3)) * ring.gen("x") ** k
+                    for k in range(degree + 1)), ring.zero())
+
+    stalls = 0
+    for n in range(1, 4):
+        for _ in range(4):
+            # unimodular: unitriangular times triangular with a constant
+            # diagonal, off-diagonal entries linear in x; rotating the rows
+            # moves a linear entry to the top of the first column
+            lower = [[poly(1) if j < i else ring.one() if j == i else ring.zero() for j in range(n)]
+                     for i in range(n)]
+            upper = [[poly(1) if j > i else ring.scalar(sampling.random_nonzero_scalar(rng, 3)) if j == i
+                      else ring.zero() for j in range(n)] for i in range(n)]
+            unimodular = _even_square(ring, lower) * _even_square(ring, upper)
+            unimodular = _even_square(ring, unimodular.entries[1:] + unimodular.entries[:1])
+            general = _even_square(ring, [[poly(2) for _ in range(n)] for _ in range(n)])
+            for matrix in (unimodular, general):
+                expected = matrix_to_sympy(matrix).det(method="berkowitz")
+                assert sympy.expand(to_sympy(det_even(matrix)) - expected) == 0
+            stalls += _unit_pivot_elimination(unimodular) is None
+            difference = matrix_to_sympy(inv_even(unimodular)) - matrix_to_sympy(unimodular).inv()
+            assert difference.applyfunc(sympy.cancel) == sympy.zeros(n, n)
+    assert stalls > 0

@@ -10,8 +10,10 @@ It covers `run_suite("all", 3, seed)` for seeds 0-3 at the default size and
 at (3, 2 | 2, 1), q = 5, and the `factor`, `orbit`, `chart-down`, `minv`,
 `ber` and `smooth` commands on inputs from the checkout's `bench/inputs.py`,
 including inputs that end in `NotInBigCell`, `NotInvertible`, `NotAPoint`,
-`UnassignedVariable` and schema errors.  Each `cli_*.txt` file holds the
-exit status, stderr and output document of one invocation.
+`UnassignedVariable` and schema errors.  The `minv` and `ber` inputs also
+cover the row swaps and the stall of the even-block elimination.  Each
+`cli_*.txt` file holds the exit status, stderr and output document of one
+invocation.
 """
 
 import contextlib
@@ -112,6 +114,13 @@ def superlinalg_commands():
                 "ok": x,
                 "dead_a": edited(x, {(i, j): soul for i in range(m) for j in range(m)}),
                 "dead_d": edited(x, {(i, j): soul for i in range(m, m + n) for j in range(m, m + n)}),
+                # zero leading bodies of A and D: eliminating D and the Schur
+                # complement (whose body is A's) starts with a row swap
+                "swap": edited(x, {(0, 0): soul, (m, m): soul}),
+                # the last row of D repeats its first: D's body is singular
+                # but not zero, so its elimination stalls part way
+                "singular_d": edited(x, {(m + n - 1, j): lambda e, rows, j=j: rows[m][j]
+                                         for j in range(m, m + n)}),
             }
             for kind, matrix in cases.items():
                 tag = f"{m}{n}{q}_{index}_{kind}"
