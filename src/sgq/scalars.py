@@ -1,29 +1,48 @@
-"""Exact scalars: Gaussian rationals a + b*i with Fraction components."""
+"""Exact scalars: Gaussian rationals (a + b*i)/d as one normalized integer triple."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 RationalLike = Union[int, Fraction, "GaussianRational"]
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class GaussianRational:
-    """An element of Q(i), stored as an exact pair of Fractions.
+    """An element (re_num + im_num*i)/den of Q(i).
 
-    Immutable.  All arithmetic is exact; there is no float path anywhere.
+    The triple is canonical: den > 0 and gcd(re_num, im_num, den) = 1, with
+    zero stored as (0, 0, 1), so equal values have equal triples.  The
+    components ``re`` and ``im`` are read as Fractions.  Immutable; all
+    arithmetic is exact and the constructor accepts no floats.
     """
 
-    re: Fraction
-    im: Fraction
+    re_num: int
+    im_num: int
+    den: int
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"Gaussian rational components must be int or Fraction, not {part!r}")
+        a, d1 = re.numerator, re.denominator
+        b, d2 = im.numerator, im.denominator
+        a, b, d = a * d2, b * d1, d1 * d2
+        g = gcd(a, b, d)
+        _set_re(self, a // g)
+        _set_im(self, b // g)
+        _set_den(self, d // g)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.im_num, self.den)
 
     @staticmethod
     def coerce(value: RationalLike) -> "GaussianRational":
@@ -33,46 +52,71 @@ class GaussianRational:
             return GaussianRational(value)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
-    @staticmethod
-    def _make(re: Fraction, im: Fraction) -> "GaussianRational":
-        # fast path: components are already Fractions
-        obj = object.__new__(GaussianRational)
-        object.__setattr__(obj, "re", re)
-        object.__setattr__(obj, "im", im)
-        return obj
-
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational._make(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            a, b = self.re_num + other.re_num, self.im_num + other.im_num
+            if d1 == 1:
+                return _make(a, b, 1)
+            d = d1
+        else:
+            a = self.re_num * d2 + other.re_num * d1
+            b = self.im_num * d2 + other.im_num * d1
+            d = d1 * d2
+        g = gcd(a, b, d)
+        return _make(a // g, b // g, d // g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational._make(-self.re, -self.im)
+        return _make(-self.re_num, -self.im_num, self.den)
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational._make(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            a, b = self.re_num - other.re_num, self.im_num - other.im_num
+            if d1 == 1:
+                return _make(a, b, 1)
+            d = d1
+        else:
+            a = self.re_num * d2 - other.re_num * d1
+            b = self.im_num * d2 - other.im_num * d1
+            d = d1 * d2
+        g = gcd(a, b, d)
+        return _make(a // g, b // g, d // g)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        if self.im == 0 and other.im == 0:
-            return GaussianRational._make(self.re * other.re, _ZERO)
-        return GaussianRational._make(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a1, b1, a2, b2 = self.re_num, self.im_num, other.re_num, other.im_num
+        d = self.den * other.den
+        if b1 or b2:
+            a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        else:
+            a, b = a1 * a2, 0
+        if d == 1:
+            return _make(a, b, 1)
+        g = gcd(a, b, d)
+        return _make(a // g, b // g, d // g)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
+        # d/(a + b*i) = d*(a - b*i)/(a^2 + b^2)
+        a, b, d = self.re_num, self.im_num, self.den
+        norm = a * a + b * b
         if norm == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        a, b = d * a, -d * b
+        g = gcd(a, b, norm)
+        return _make(a // g, b // g, norm // g)
 
     def __truediv__(self, other):
         return self * GaussianRational.coerce(other).inverse()
@@ -81,18 +125,20 @@ class GaussianRational:
         return GaussianRational.coerce(other) * self.inverse()
 
     def __eq__(self, other):
+        if isinstance(other, GaussianRational):
+            return (self.re_num == other.re_num and self.im_num == other.im_num
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return (not self.im_num and self.re_num == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
         # a real value equals its int or Fraction, so it must hash like one
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+        return hash(self.re) if not self.im_num else hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re_num or self.im_num)
 
     def is_zero(self) -> bool:
         return not self
@@ -101,12 +147,29 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"({self.im})*i" if self.im.denominator != 1 or self.im < 0 else f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re} {sign} {abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"({im})*i" if im.denominator != 1 or im < 0 else f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"({re} {sign} {abs(im)}*i)"
+
+
+# The fields are slots of a frozen class: arithmetic fills a fresh instance
+# through the slot descriptors, which skips the frozen __setattr__.
+_set_re = GaussianRational.re_num.__set__
+_set_im = GaussianRational.im_num.__set__
+_set_den = GaussianRational.den.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i)/d from a triple already in canonical form."""
+    obj = object.__new__(GaussianRational)
+    _set_re(obj, a)
+    _set_im(obj, b)
+    _set_den(obj, d)
+    return obj
 
 
 ZERO = GaussianRational(0)

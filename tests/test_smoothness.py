@@ -16,6 +16,8 @@ from sgq import (
     jacobian,
     rank_at_point,
 )
+from sgq.sampling import random_nonzero_scalar, random_scalar, trial_rng
+from sgq.smoothness import _rank
 
 EMPTY = SuperRing()
 
@@ -163,3 +165,39 @@ def test_general_linear_presentations():
         verdict = is_smooth_at(pres, identity)
         assert verdict.smooth
         assert verdict.relative_dimension == (m * m + n * n, 2 * m * n)
+
+
+def test_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = trial_rng(3, "test.rank", 0)
+
+    def to_sympy(c):
+        return (sympy.Rational(c.re.numerator, c.re.denominator)
+                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+
+    def combination(rows):
+        weights = [random_nonzero_scalar(rng, 3) for _ in rows]
+        return [sum((w * row[k] for w, row in zip(weights, rows)), GaussianRational(0))
+                for k in range(len(rows[0]))]
+
+    deficient = 0
+    for n_rows in range(1, 7):
+        for n_cols in range(1, 9):
+            # the first `independent` rows are random, the others repeat or
+            # combine them, in shuffled order
+            independent = rng.randint(1, n_rows)
+            dependent = [[random_scalar(rng, 3) for _ in range(n_cols)] for _ in range(independent)]
+            base = list(dependent)
+            while len(dependent) < n_rows:
+                if rng.random() < 0.3:
+                    dependent.append(list(rng.choice(base)))
+                else:
+                    dependent.append(combination(rng.sample(base, rng.randint(1, len(base)))))
+            rng.shuffle(dependent)
+            full = [[random_scalar(rng, 3) for _ in range(n_cols)] for _ in range(n_rows)]
+            zero = [[GaussianRational(0)] * n_cols for _ in range(n_rows)]
+            for rows in (full, dependent, zero):
+                expected = sympy.Matrix([[to_sympy(c) for c in row] for row in rows]).rank()
+                assert _rank(rows) == expected, rows
+            deficient += _rank(dependent) < min(n_rows, n_cols)
+    assert deficient >= 10
