@@ -224,8 +224,8 @@ class SuperElement:
 
     def is_unit(self) -> bool:
         """True when the body is a nonzero constant (the only units here)."""
-        value = self.body().constant_value()
-        return value is not None and bool(value)
+        body = [exp for exp, odd in self.terms if not odd]
+        return len(body) == 1 and not any(body[0])
 
     # -- ring operations -----------------------------------------------------
 
@@ -297,15 +297,13 @@ class SuperElement:
         if value is None or not value:
             raise NotInvertible(f"body is not a unit: {self.body()!r}")
         c_inv = value.inverse()
-        correction = self.ring.scalar(c_inv) * self.soul()  # s/c, nilpotent
-        result = self.ring.one()
-        power = self.ring.one()
-        for k in range(1, self.ring.n_odd + 1):
-            power = power * correction
-            if power.is_zero():
-                break
-            result = result + (-power if k % 2 else power)
-        return self.ring.scalar(c_inv) * result
+        # -s/c, nilpotent; scaling by the constant needs no term products
+        step = SuperElement(self.ring, {k: -c * c_inv for k, c in self.terms.items() if k[1]})
+        result, power = self.ring.one(), step
+        while power.terms:
+            result = result + power
+            power = power * step
+        return SuperElement(self.ring, {k: c * c_inv for k, c in result.terms.items()})
 
     def derivative(self, var: str) -> "SuperElement":
         """Partial derivative; left derivative for odd generators."""

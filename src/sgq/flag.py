@@ -20,7 +20,7 @@ from typing import Dict, Tuple
 
 from .algebra import SuperRing
 from .errors import NotInBigCell, NotInvertible, ShapeMismatch
-from .matrix import SuperMatrix, SuperShape, block_matrix, det_even, inv_even, is_invertible
+from .matrix import SuperMatrix, SuperShape, block_matrix, inv_even, is_invertible
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,9 @@ def n_member(g: SuperMatrix, bp: BlockProfile) -> bool:
 
 def in_big_cell(g: SuperMatrix, bp: BlockProfile) -> bool:
     """True iff the (1,1) and (4,4) corner blocks have invertible body."""
-    b = split_blocks(g, bp)
-    return det_even(b[(1, 1)].body()).is_unit() and det_even(b[(4, 4)].body()).is_unit()
+    _check_square(g, bp)
+    corner = list(bp.block_range(1)) + list(bp.block_range(4))
+    return is_invertible(g.select(corner, corner))
 
 
 def normal_form(g: SuperMatrix, bp: BlockProfile) -> Tuple[NCoordinates, SuperMatrix]:

@@ -50,19 +50,16 @@ class GrassmannianPoint:
         return f"GrassmannianPoint({self.profile}, {self.span!r})"
 
 
-def _row_choices(bp: BlockProfile):
-    """All (r even rows, s odd rows) choices as global index tuples, in
-    lexicographic order over (even subset, odd subset)."""
-    for even_rows in combinations(range(bp.m), bp.r):
-        for odd_rows in combinations(range(bp.n), bp.s):
-            yield even_rows + tuple(bp.m + i for i in odd_rows)
-
-
 def _first_valid_choice(span: SuperMatrix, bp: BlockProfile) -> Optional[Tuple[int, ...]]:
-    for rows in _row_choices(bp):
-        if is_invertible(span.select(list(rows), list(range(span.n_cols)))):
-            return rows
-    return None
+    """The lexicographically first r even and s odd rows with invertible body,
+    or None; that body is block diagonal, so the two parts are chosen apart."""
+    even_cols = range(bp.r)
+    odd_cols = range(bp.r, bp.r + bp.s)
+    even = next((rows for rows in combinations(range(bp.m), bp.r)
+                 if is_invertible(span.select(rows, even_cols))), None)
+    odd = next((rows for rows in combinations(range(bp.m, bp.m + bp.n), bp.s)
+                if is_invertible(span.select(rows, odd_cols))), None)
+    return None if even is None or odd is None else even + odd
 
 
 def _normalize_on(span: SuperMatrix, rows: Tuple[int, ...]) -> SuperMatrix:

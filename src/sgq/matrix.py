@@ -5,15 +5,17 @@ odd.  An entry at (i, j) must be homogeneous of parity row(i) + col(j), which
 is the pattern of even morphisms between free supermodules; under it, matrix
 multiplication needs no extra signs.
 
-Determinants over the (commutative) even subring are computed division-free
-by dynamic programming over column subsets, so they are valid over rings with
-zero divisors.  Inverses of all-even matrices go through Gauss-Jordan
-elimination with unit pivots, which yields the determinant on the way: when
-every body is constant the ring is local, a unit is exactly an element with
-nonzero body, and a unit pivot exists in every column of an invertible
-matrix.  Only when the elimination stalls (a non-unit determinant, or bodies
-that involve even generators) does the inverse fall back to the adjugate,
-the only division being by the unit determinant.
+Determinants and inverses of all-even matrices come from one elimination
+with unit pivots: it clears below each pivot for a determinant, and runs
+Gauss-Jordan on [M | I] for an inverse, the determinant being the product of
+the pivots either way.  When every body is constant the ring is local, a
+unit is exactly an element with nonzero body, and a unit pivot exists in
+every column of an invertible matrix.  Only when the elimination stalls (a
+non-unit determinant, or bodies that involve even generators) does it fall
+back to Berkowitz's characteristic polynomial, which is division-free over
+the commutative even subring and so valid with zero divisors: it gives the
+determinant, and by Cayley-Hamilton the adjugate, the only division being
+by the unit determinant.
 """
 
 from __future__ import annotations
@@ -190,64 +192,25 @@ class SuperMatrix:
         return sm_inv(self)
 
 
-def _require_all_even(matrix: SuperMatrix, context: str) -> None:
+def _require_even_square(matrix: SuperMatrix) -> None:
+    if matrix.n_rows != matrix.n_cols:
+        raise ShapeMismatch("determinant of a non-square matrix")
     for row in matrix.entries:
         for entry in row:
             if not entry.is_even():
-                raise ShapeMismatch(f"{context} requires all-even entries, found {entry!r}")
+                raise ShapeMismatch(f"det_even requires all-even entries, found {entry!r}")
 
 
-def det_even(matrix: SuperMatrix) -> SuperElement:
-    """Determinant of a square matrix with entries in the even subring.
-
-    Division-free subset dynamic programming: partial[mask] holds the signed
-    minor on the processed rows and the column set `mask`.
+def _unit_pivot_elimination(rows: List[List[SuperElement]], one: SuperElement):
+    """Eliminate the rows of M, or of [M | I] with `one` on the diagonal of I,
+    in place, taking as pivot the first remaining unit of each column: the
+    det of M (the pivots' product times the swap sign), or None on a stall,
+    a column with no unit.  Rows above a pivot are cleared only with the
+    augmented half, which then holds the inverse.
     """
-    if matrix.n_rows != matrix.n_cols:
-        raise ShapeMismatch("determinant of a non-square matrix")
-    _require_all_even(matrix, "det_even")
-    n = matrix.n_rows
-    ring = matrix.ring
-    partial = {0: ring.one()}
-    for r in range(n):
-        grown = {}
-        row = matrix.entries[r]
-        for mask, value in partial.items():
-            if value.is_zero():
-                continue
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                entry = row[j]
-                if entry.is_zero():
-                    continue
-                # new inversions: previously chosen columns to the right of j
-                above = bin(mask >> (j + 1)).count("1")
-                term = value * entry
-                if above % 2:
-                    term = -term
-                key = mask | bit
-                acc = grown.get(key)
-                grown[key] = term if acc is None else acc + term
-        partial = grown
-        if not partial:
-            return ring.zero()
-    return partial.get((1 << n) - 1, ring.zero())
-
-
-def _unit_pivot_elimination(matrix: SuperMatrix):
-    """Gauss-Jordan on [matrix | I] with unit pivots: (det, inverse), or None.
-
-    The pivot of each column is the first remaining row whose entry is a
-    unit; None reports a stall, a column without one.  The determinant is
-    the product of the pivots times the sign of the row swaps.
-    """
-    ring = matrix.ring
-    n = matrix.n_rows
-    one, zero = ring.one(), ring.zero()
-    rows = [list(row) + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(matrix.entries)]
+    ring = one.ring
+    n = len(rows)
+    width = len(rows[0]) if rows else 0
     det = one
     swaps = 0
     for col in range(n):
@@ -260,17 +223,17 @@ def _unit_pivot_elimination(matrix: SuperMatrix):
         pivot_row = rows[col]
         pivot = pivot_row[col]
         det = pivot if col == 0 else det * pivot
+        # columns up to col are never read again, so they are left as they are
+        live = [j for j in range(col + 1, width) if pivot_row[j].terms]
+        if not live:
+            continue
         pivot_inv = pivot.inv()
-        pivot_row[col] = one
-        # earlier columns are already cleared in the pivot row; the identity
-        # one of the augmented half scales to the pivot inverse itself
-        live = []
-        for j in range(col + 1, 2 * n):
+        for j in live:
             entry = pivot_row[j]
-            if entry.terms:
-                pivot_row[j] = pivot_inv if entry is one else entry * pivot_inv
-                live.append(j)
-        for r, row in enumerate(rows):
+            # the identity one of the augmented half scales to the pivot inverse itself
+            pivot_row[j] = pivot_inv if entry is one else entry * pivot_inv
+        for r in range(0 if width > n else col + 1, n):
+            row = rows[r]
             factor = row[col]
             if r == col or not factor.terms:
                 continue
@@ -279,47 +242,64 @@ def _unit_pivot_elimination(matrix: SuperMatrix):
                 terms = dict(row[j].terms)
                 accumulate_product(terms, minus_factor, pivot_row[j].terms)
                 row[j] = SuperElement(ring, terms)
-            row[col] = zero
-    if swaps % 2:
-        det = -det
-    return det, SuperMatrix._raw(ring, matrix.shape, [row[n:] for row in rows])
+    return -det if swaps % 2 else det
 
 
-def _adjugate_inverse(matrix: SuperMatrix, det: SuperElement) -> SuperMatrix:
-    """Inverse as adjugate / det, from n^2 cofactor determinants; det a unit."""
-    det_inv = det.inv()
-    n = matrix.n_rows
-    indices = list(range(n))
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            # adjugate: (j, i) cofactor ends up at (i, j)
-            minor = matrix.select([r for r in indices if r != j], [c for c in indices if c != i])
-            cof = det_even(minor)
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof * det_inv)
-        rows.append(row)
-    return SuperMatrix(matrix.ring, matrix.shape, rows)
+def _charpoly(matrix: SuperMatrix) -> List[SuperElement]:
+    """Coefficients [1, c1, ..., cn] of det(x I - M), division-free (Berkowitz):
+    the polynomial of [[A, C], [R, a]] is that of A times the lower Toeplitz
+    matrix with first column 1, -a, -R C, -R A C, ..., -R A^(r-1) C."""
+    ring = matrix.ring
+    poly = [ring.one()]
+    for r in range(matrix.n_rows):
+        lead = matrix.select(range(r), range(r))
+        row = matrix.select([r], range(r))
+        column = matrix.select(range(r), [r])
+        toeplitz = [ring.one(), -matrix[r, r]]
+        for k in range(r):
+            if k:
+                column = lead * column
+            toeplitz.append(-(row * column)[0, 0])
+        poly = [sum((toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1)), ring.zero())
+                for i in range(r + 2)]
+    return poly
+
+
+def det_even(matrix: SuperMatrix) -> SuperElement:
+    """Determinant of a square matrix with entries in the even subring."""
+    _require_even_square(matrix)
+    det = _unit_pivot_elimination([list(row) for row in matrix.entries], matrix.ring.one())
+    if det is None:
+        det = _charpoly(matrix)[-1]
+        if matrix.n_rows % 2:
+            det = -det
+    return det
 
 
 def _det_and_inverse(matrix: SuperMatrix):
     """(det, inverse) of an all-even square matrix; inverse None if det is no unit.
 
-    Unit-pivot elimination gives both.  On a stall the subset-DP determinant
-    decides, and a unit determinant is inverted through the adjugate.
+    On a stall, Cayley-Hamilton: M (M^(n-1) + c1 M^(n-2) + ... + c(n-1) I) = -cn I.
     """
-    if matrix.n_rows != matrix.n_cols:
-        raise ShapeMismatch("determinant of a non-square matrix")
-    _require_all_even(matrix, "det_even")
-    eliminated = _unit_pivot_elimination(matrix)
-    if eliminated is not None:
-        return eliminated
-    det = det_even(matrix)
+    _require_even_square(matrix)
+    ring, shape, n = matrix.ring, matrix.shape, matrix.n_rows
+    one, zero = ring.one(), ring.zero()
+    rows = [list(row) + [one if i == j else zero for j in range(n)]
+            for i, row in enumerate(matrix.entries)]
+    det = _unit_pivot_elimination(rows, one)
+    if det is not None:
+        return det, SuperMatrix._raw(ring, shape, [row[n:] for row in rows])
+    coeffs = _charpoly(matrix)
+    det = -coeffs[n] if n % 2 else coeffs[n]
     if not det.is_unit():
         return det, None
-    return det, _adjugate_inverse(matrix, det)
+    horner = SuperMatrix.identity(ring, *shape.rows)
+    for c in coeffs[1:n]:
+        horner = matrix * horner
+        horner = SuperMatrix._raw(ring, shape, [[e + c if i == j else e for j, e in enumerate(row)]
+                                                for i, row in enumerate(horner.entries)])
+    scale = (-coeffs[n]).inv()
+    return det, SuperMatrix._raw(ring, shape, [[e * scale for e in row] for row in horner.entries])
 
 
 def inv_even(matrix: SuperMatrix) -> SuperMatrix:
@@ -378,11 +358,9 @@ def _parity_blocks(matrix: SuperMatrix):
 
 
 def is_invertible(matrix: SuperMatrix) -> bool:
-    """Body test: both parity-diagonal blocks must have unit body determinant."""
-    if not matrix.shape.is_square:
-        return False
-    a, _, _, d = _parity_blocks(matrix)
-    return det_even(a.body()).is_unit() and det_even(d.body()).is_unit()
+    """Body test: both parity-diagonal blocks, and so the block-diagonal
+    body, must have unit determinant."""
+    return matrix.shape.is_square and det_even(matrix.body()).is_unit()
 
 
 def sm_inv(matrix: SuperMatrix) -> SuperMatrix:

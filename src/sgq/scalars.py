@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import Union
 
 RationalLike = Union[int, Fraction, "GaussianRational"]
+
+
+def rational_str(value: Fraction) -> str:
+    """str(value) at any length: str() of an int stops at the interpreter's
+    int_max_str_digits (4300 by default), Decimal does not."""
+    digits = str(Decimal(value.numerator))
+    return digits if value.denominator == 1 else f"{digits}/{Decimal(value.denominator)}"
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -149,11 +157,11 @@ class GaussianRational:
     def __str__(self):
         re, im = self.re, self.im
         if im == 0:
-            return str(re)
+            return rational_str(re)
         if re == 0:
-            return f"({im})*i" if im.denominator != 1 or im < 0 else f"{im}*i"
+            return f"({rational_str(im)})*i" if im.denominator != 1 or im < 0 else f"{rational_str(im)}*i"
         sign = "+" if im > 0 else "-"
-        return f"({re} {sign} {abs(im)}*i)"
+        return f"({rational_str(re)} {sign} {rational_str(abs(im))}*i)"
 
 
 # The fields are slots of a frozen class: arithmetic fills a fresh instance

@@ -9,6 +9,7 @@ two-space indent — so equal values always serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import textwrap
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -17,7 +18,7 @@ from .errors import ParityPatternViolation, RingMismatch, SchemaError, ShapeMism
 from .flag import BlockProfile, NCoordinates
 from .grassmannian import GrassmannianPoint
 from .matrix import SuperMatrix, SuperShape
-from .scalars import GaussianRational
+from .scalars import GaussianRational, rational_str
 from .smoothness import Presentation, RationalPoint
 
 
@@ -47,19 +48,26 @@ def _get(obj, key, kind, where):
 # -- scalars -------------------------------------------------------------------
 
 
+def _bad_rational(text: str, where: str, reason: str) -> SchemaError:
+    # quote a bounded prefix: the input may hold thousands of digits
+    shown = repr(text) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
+    return SchemaError(f"{where}: bad rational {shown}: {textwrap.shorten(reason, 160)}")
+
+
 def _fraction_from_str(text: str, where: str) -> Fraction:
     # Fraction accepts exponent notation, and "1e999999999" would build a
     # billion-digit integer; emitted coefficients never carry an exponent
     if "e" in text or "E" in text:
-        raise SchemaError(f"{where}: bad rational {text!r}: exponent notation is not accepted")
+        raise _bad_rational(text, where, "exponent notation is not accepted")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{where}: bad rational {text!r}: {exc}") from None
+        # Fraction's own message may quote the whole literal; shorten drops it
+        raise _bad_rational(text, where, str(exc)) from None
 
 
 def encode_coeff(value: GaussianRational) -> Dict[str, str]:
-    return {"re": str(value.re), "im": str(value.im)}
+    return {"re": rational_str(value.re), "im": rational_str(value.im)}
 
 
 def parse_coeff(obj, where="coeff") -> GaussianRational:
@@ -264,7 +272,7 @@ def encode_rational_point(pt: RationalPoint) -> Dict:
     values = {}
     for name in sorted(pt.values):
         value = pt.values[name]
-        values[name] = str(value.re) if value.im == 0 else encode_coeff(value)
+        values[name] = rational_str(value.re) if value.im == 0 else encode_coeff(value)
     return {"values": values}
 
 

@@ -1,0 +1,75 @@
+"""Replaced algorithms, kept as independent references for the tests.
+
+Each one is the implementation the library used before a faster or simpler
+routine took its place; the tests compare the two on the same inputs.
+"""
+
+from itertools import combinations
+
+from sgq import SuperMatrix, is_invertible
+
+
+def subset_dp_det(matrix):
+    """Determinant of an all-even square matrix by subset dynamic programming.
+
+    Division-free: partial[mask] holds the signed minor on the processed rows
+    and the column set `mask`.  O(2^n * n) ring operations.
+    """
+    n = matrix.n_rows
+    ring = matrix.ring
+    partial = {0: ring.one()}
+    for r in range(n):
+        grown = {}
+        row = matrix.entries[r]
+        for mask, value in partial.items():
+            if value.is_zero():
+                continue
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                entry = row[j]
+                if entry.is_zero():
+                    continue
+                # new inversions: previously chosen columns to the right of j
+                above = bin(mask >> (j + 1)).count("1")
+                term = value * entry
+                if above % 2:
+                    term = -term
+                key = mask | bit
+                acc = grown.get(key)
+                grown[key] = term if acc is None else acc + term
+        partial = grown
+        if not partial:
+            return ring.zero()
+    return partial.get((1 << n) - 1, ring.zero())
+
+
+def adjugate_inverse(matrix, det):
+    """Inverse as adjugate / det, from n^2 cofactor determinants; det a unit."""
+    det_inv = det.inv()
+    n = matrix.n_rows
+    indices = list(range(n))
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            # adjugate: (j, i) cofactor ends up at (i, j)
+            minor = matrix.select([r for r in indices if r != j], [c for c in indices if c != i])
+            cof = subset_dp_det(minor)
+            if (i + j) % 2:
+                cof = -cof
+            row.append(cof * det_inv)
+        rows.append(row)
+    return SuperMatrix(matrix.ring, matrix.shape, rows)
+
+
+def first_valid_choice_product(span, bp):
+    """First (r even rows, s odd rows) choice whose row submatrix has
+    invertible body, searching all pairs in lexicographic order."""
+    for even_rows in combinations(range(bp.m), bp.r):
+        for odd_rows in combinations(range(bp.n), bp.s):
+            rows = even_rows + tuple(bp.m + i for i in odd_rows)
+            if is_invertible(span.select(list(rows), list(range(span.n_cols)))):
+                return rows
+    return None

@@ -159,6 +159,46 @@ def test_exponent_coefficient_is_malformed(tmp_path, capsys, coeff):
     assert "exponent notation" in capsys.readouterr().err
 
 
+def test_long_coefficient_echo_is_bounded(tmp_path, capsys):
+    # 5,000 digits exceed the interpreter's int parsing limit: a schema error
+    # whose diagnostic quotes the start of the value and its length only
+    entry = {"ring": {"even": [], "odd": []}, "terms": [{"coeff": "7" * 5000, "exp": [], "odd": []}]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"shape": {"rows": [1, 0], "cols": [1, 0]}, "entries": [[entry]]}))
+    assert run_cli("ber", "--in", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "(5000 characters)" in err and len(err) < 400
+
+
+# (10^2200 + 1)^2 = 10^4400 + 2 * 10^2200 + 1: 4,401 digits, over the 4,300 that
+# str() of an int writes by default
+_BIG = 10 ** 2200 + 1
+_BIG_SQUARED = "1" + "0" * 2199 + "2" + "0" * 2199 + "1"
+
+
+def _diagonal_doc(tmp_path, entry):
+    ring = entry.ring
+    matrix = SuperMatrix(ring, SuperShape((2, 0), (2, 0)), [[entry, ring.zero()], [ring.zero(), entry]])
+    path = tmp_path / "diagonal.json"
+    path.write_text(canonical_dumps(encode_matrix(matrix)))
+    return path
+
+
+def test_result_over_the_int_str_digit_limit(ring, tmp_path):
+    out = tmp_path / "ber.json"
+    assert run_cli("ber", "--in", str(_diagonal_doc(tmp_path, ring.scalar(_BIG))), "--out", str(out)) == 0
+    assert read(out)["result"]["terms"] == [{"coeff": {"re": _BIG_SQUARED, "im": "0"}, "exp": [], "odd": []}]
+
+
+def test_error_detail_over_the_int_str_digit_limit(tmp_path):
+    ring = SuperRing(["x"], [])
+    out = tmp_path / "minv.json"
+    entry = ring.scalar(_BIG) * ring.gen("x")
+    assert run_cli("minv", "--in", str(_diagonal_doc(tmp_path, entry)), "--out", str(out)) == 1
+    detail = read(out)["error"]["detail"]
+    assert detail == f"even-even block is singular: determinant is not a unit: body {_BIG_SQUARED}*x^2"
+
+
 def test_missing_profile_is_malformed(small_matrix_doc, capsys):
     assert run_cli("factor", "--in", str(small_matrix_doc)) == 2
     assert "--profile" in capsys.readouterr().err

@@ -95,6 +95,17 @@ def test_big_cell_detection(grassmann2):
     assert not in_big_cell(SuperMatrix(ring, SuperShape((1, 1), (1, 1)), rows), BP_SMALL)
 
 
+@pytest.mark.parametrize("dead, expected", [(None, True), (0, False), (1, True), (2, True), (3, False)])
+def test_big_cell_reads_only_the_corner_blocks(grassmann4, dead, expected):
+    # under (2, 2 | 1, 1) blocks 1 and 4 are indices 0 and 3; a diagonal
+    # entry with zero body elsewhere makes g singular but keeps the corners
+    ring = grassmann4
+    rows = [list(row) for row in SuperMatrix.identity(ring, 2, 2).entries]
+    if dead is not None:
+        rows[dead][dead] = ring.gen("t1") * ring.gen("t2")
+    assert in_big_cell(SuperMatrix(ring, SuperShape((2, 2), (2, 2)), rows), BP_FULL) is expected
+
+
 def test_nilpotent_perturbation_stays_in_cell(grassmann4):
     rng = trial_rng(1, "cell", 0)
     g = random_big_cell(grassmann4, BP_FULL, rng)

@@ -29,6 +29,9 @@ from sgq.sampling import (
     random_parabolic,
     trial_rng,
 )
+from sgq.grassmannian import _first_valid_choice
+
+from oracles import first_valid_choice_product
 
 BP = BlockProfile(2, 2, 1, 1)
 BP_SMALL = BlockProfile(1, 1, 1, 0)
@@ -180,3 +183,27 @@ def test_distinct_coordinates_give_distinct_points(grassmann4):
     c2 = random_ncoords(grassmann4, BP, trial_rng(2, "inj", 1))
     assert c1 != c2
     assert not points_equal(chart_up(c1), chart_up(c2))
+
+
+@pytest.mark.parametrize("dead, copied, expected", [
+    ((), (), (0, 1, 4, 5)),
+    ((0, 4), (), (1, 2, 5, 6)),
+    ((), (1, 5), (0, 2, 4, 6)),
+    ((0, 4), (2,), (1, 3, 5, 6)),
+    ((0, 1), (3,), None),
+    ((4, 5), (), None),
+])
+def test_first_valid_choice_matches_product_search(grassmann4, dead, copied, expected):
+    # (4|3) span on columns 0, 1 (even) and 5, 6 (odd); a dead row has zero
+    # body, and a copied row's body repeats the row above it, so the first
+    # valid even and odd subsets come late or not at all
+    bp = BlockProfile(4, 3, 2, 2)
+    g = random_invertible(grassmann4, trial_rng(2, "rows", len(dead) + 3 * len(copied)), 4, 3)
+    span = g.select(range(7), [0, 1, 5, 6])
+    rows = [list(row) for row in span.entries]
+    for i in dead:
+        rows[i] = [e.soul() for e in rows[i]]
+    for i in copied:
+        rows[i] = [above.body() + e.soul() for above, e in zip(rows[i - 1], rows[i])]
+    span = SuperMatrix(grassmann4, span.shape, rows)
+    assert _first_valid_choice(span, bp) == first_valid_choice_product(span, bp) == expected

@@ -15,9 +15,11 @@ from sgq import (
     is_invertible,
     sm_inv,
 )
-from sgq.matrix import _adjugate_inverse, _unit_pivot_elimination
+from sgq.matrix import _charpoly, _det_and_inverse, _unit_pivot_elimination
 from sgq import sampling
-from sgq.sampling import random_invertible, random_soul, trial_rng
+from sgq.sampling import random_invertible, random_soul, random_unit, trial_rng
+
+from oracles import adjugate_inverse, subset_dp_det
 
 
 def sq(ring, rows):
@@ -110,8 +112,8 @@ def test_inv_even_with_polynomial_entries():
     matrix = SuperMatrix(ring, SuperShape((2, 0), (2, 0)), [[x, x + one], [x - one, x]])
     assert det_even(matrix).is_one()
     # no entry of the first column is a unit: the elimination stalls and
-    # the adjugate inverts
-    assert _unit_pivot_elimination(matrix) is None
+    # Cayley-Hamilton inverts
+    assert _stalls(matrix)
     assert matrix * inv_even(matrix) == SuperMatrix.identity(ring, 2, 0)
 
 
@@ -171,7 +173,8 @@ def test_is_invertible_detects_soul_body(grassmann2):
     assert not is_invertible(bad)
 
 
-# -- unit-pivot elimination against the adjugate and the subset DP ---------------
+# -- unit-pivot elimination and its stall fallback against the subset DP and
+# -- the cofactor adjugate
 
 
 def _even_square(ring, rows):
@@ -179,10 +182,23 @@ def _even_square(ring, rows):
     return SuperMatrix(ring, SuperShape((n, 0), (n, 0)), rows)
 
 
+def _stalls(matrix):
+    return _unit_pivot_elimination([list(row) for row in matrix.entries], matrix.ring.one()) is None
+
+
 def _check_against_oracles(matrix):
-    det, inverse = _unit_pivot_elimination(matrix)
-    assert det == det_even(matrix)
-    assert inv_even(matrix) == inverse == _adjugate_inverse(matrix, det)
+    """det_even and inv_even against the oracles; the determinant."""
+    det = det_even(matrix)
+    assert det == subset_dp_det(matrix)
+    assert _det_and_inverse(matrix)[0] == det
+    if det.is_unit():
+        inverse = inv_even(matrix)
+        assert inverse == adjugate_inverse(matrix, det)
+        assert matrix * inverse == SuperMatrix.identity(matrix.ring, matrix.n_rows, 0)
+    else:
+        with pytest.raises(NotInvertible) as err:
+            inv_even(matrix)
+        assert str(err.value) == f"determinant is not a unit: body {det.body()!r}"
     return det
 
 
@@ -192,6 +208,7 @@ def test_elimination_matches_adjugate_and_dp(n, q):
     ring = SuperRing([], [f"t{k}" for k in range(1, q + 1)])
     rng = trial_rng(5, f"test.elim.{q}", n)
     matrix = random_invertible(ring, rng, n, 0, bound=3)
+    assert not _stalls(matrix)
     _check_against_oracles(matrix)
     if n >= 2:
         # a zero body at (0, 0) forces a row swap in the first column
@@ -228,10 +245,79 @@ def test_elimination_stalls_on_singular_body(grassmann4):
     one = grassmann4.one()
     rows = [[one + random_soul(grassmann4, rng, parity=0) for _ in range(3)] for _ in range(3)]
     matrix = _even_square(grassmann4, rows)
-    assert _unit_pivot_elimination(matrix) is None
+    assert _stalls(matrix)
     with pytest.raises(NotInvertible) as err:
         inv_even(matrix)
     assert str(err.value) == "determinant is not a unit: body 0"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stall_on_singular_constant_body(grassmann4, n):
+    # the last row repeats the body of the first plus souls (n = 1: a soul):
+    # the body is singular, so the elimination stalls and the determinant
+    # is nilpotent
+    rng = trial_rng(5, "test.stall.singular", n)
+    rows = [list(row) for row in random_invertible(grassmann4, rng, n, 0, bound=3).entries]
+    rows[-1] = [(e.body() if n > 1 else grassmann4.zero()) + random_soul(grassmann4, rng, parity=0)
+                for e in rows[0]]
+    matrix = _even_square(grassmann4, rows)
+    assert _stalls(matrix)
+    assert not _check_against_oracles(matrix).is_unit()
+
+
+POLY = SuperRing(["x"], ["t1", "t2", "t3"])
+
+
+def _stalling_polynomial_matrix(n, lead, seed):
+    """blockdiag(lead, units) times a unit upper triangular matrix with
+    polynomial entries: column 0 is lead's, the determinant is det(lead)
+    times units."""
+    rng = trial_rng(5, "test.stall.poly", seed)
+    x, one, zero = POLY.gen("x"), POLY.one(), POLY.zero()
+    k = len(lead)
+
+    def poly():
+        return (POLY.scalar(sampling.random_scalar(rng, 3)) * x + POLY.scalar(sampling.random_scalar(rng, 3))
+                + random_soul(POLY, rng, parity=0))
+
+    diagonal = [[lead[i][j] if i < k and j < k else random_unit(POLY, rng) if i == j else zero
+                 for j in range(n)] for i in range(n)]
+    upper = [[one if i == j else poly() if j > i else zero for j in range(n)] for i in range(n)]
+    return _even_square(POLY, diagonal) * _even_square(POLY, upper)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stall_on_polynomial_body_with_unit_det(n):
+    x, one = POLY.gen("x"), POLY.one()
+    matrix = _stalling_polynomial_matrix(n, [[x, x + one], [x - one, x]], n)
+    assert _stalls(matrix)
+    assert _check_against_oracles(matrix).is_unit()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stall_on_polynomial_body_with_non_unit_det(n):
+    x, one = POLY.gen("x"), POLY.one()
+    # [[x, 1], [1, x]] has a unit pivot in column 0, and the stall comes one
+    # column later; det x^2 - 1
+    lead = [[x]] if n == 1 else [[x, one], [one, x]]
+    matrix = _stalling_polynomial_matrix(n, lead, 10 + n)
+    assert _stalls(matrix)
+    assert not _check_against_oracles(matrix).is_unit()
+
+
+def test_charpoly_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    ring = SuperRing(["x"], [])
+    x, lam = sympy.Symbol("x"), sympy.Symbol("lam")
+    rng = trial_rng(5, "test.charpoly", 0)
+    for n in range(5):
+        rows = [[sum((ring.scalar(sampling.random_scalar(rng, 3)) * ring.gen("x") ** k for k in range(2)),
+                     ring.zero()) for _ in range(n)] for _ in range(n)]
+        matrix = _even_square(ring, rows)
+        expected = sympy.Matrix(n, n, [_to_sympy(e, x) for row in rows for e in row]).charpoly(lam).all_coeffs()
+        assert len(expected) == n + 1
+        for ours, theirs in zip(_charpoly(matrix), expected):
+            assert sympy.expand(_to_sympy(ours, x) - theirs) == 0
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 4)])
@@ -260,9 +346,7 @@ def test_sympy_oracle_over_polynomial_bodies():
     rng = trial_rng(5, "test.sympy", 0)
 
     def to_sympy(element):
-        return sum((sympy.Rational(c.re.numerator, c.re.denominator)
-                    + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)) * x ** exp[0]
-                   for (exp, _), c in element.terms.items())
+        return _to_sympy(element, x)
 
     def matrix_to_sympy(matrix):
         return sympy.Matrix([[to_sympy(e) for e in row] for row in matrix.entries])
@@ -287,7 +371,16 @@ def test_sympy_oracle_over_polynomial_bodies():
             for matrix in (unimodular, general):
                 expected = matrix_to_sympy(matrix).det(method="berkowitz")
                 assert sympy.expand(to_sympy(det_even(matrix)) - expected) == 0
-            stalls += _unit_pivot_elimination(unimodular) is None
+            stalls += _stalls(unimodular)
             difference = matrix_to_sympy(inv_even(unimodular)) - matrix_to_sympy(unimodular).inv()
             assert difference.applyfunc(sympy.cancel) == sympy.zeros(n, n)
     assert stalls > 0
+
+
+def _to_sympy(element, x):
+    """An element of Q(i)[x] as a sympy expression in the symbol x."""
+    import sympy
+
+    return sum((sympy.Rational(c.re.numerator, c.re.denominator)
+                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)) * x ** exp[0]
+               for (exp, _), c in element.terms.items())

@@ -11,7 +11,8 @@ at (3, 2 | 2, 1), q = 5, and the `factor`, `orbit`, `chart-down`, `minv`,
 `ber` and `smooth` commands on inputs from the checkout's `bench/inputs.py`,
 including inputs that end in `NotInBigCell`, `NotInvertible`, `NotAPoint`,
 `UnassignedVariable` and schema errors.  The `minv` and `ber` inputs also
-cover the row swaps and the stall of the even-block elimination.  Each
+cover the row swaps and the stall of the even-block elimination, and, over a
+ring with an even generator, a stall whose determinant is still a unit.  Each
 `cli_*.txt` file holds the exit status, stderr and output document of one
 invocation.
 """
@@ -129,6 +130,28 @@ def superlinalg_commands():
                 cli(f"ber_{tag}", "ber", "--in", path)
 
 
+def stall_commands():
+    # blocks with polynomial bodies: [[x, x+1], [x-1, x]] has determinant 1
+    # but no unit in its first column, [[x, 1], [1, x]] has determinant x^2 - 1
+    ring = SuperRing(["x"], ["t1", "t2"])
+    x, one, zero, t1, t2 = ring.gen("x"), ring.one(), ring.zero(), ring.gen("t1"), ring.gen("t2")
+    unimodular = [[x + t1 * t2, x + one], [x - one, x]]
+    singular = [[x, one], [one, x - t1 * t2]]
+    odd_right = [[t1, x * t2], [zero, t2]]
+    odd_left = [[t2, zero], [x * t1, t1 + t2]]
+    cases = {
+        "unit": (unimodular, [[x, x + one], [x - one, x + t1 * t2]]),
+        "singular_a": (singular, unimodular),
+        "singular_d": (unimodular, singular),
+    }
+    for kind, (a, d) in cases.items():
+        rows = [a[0] + odd_right[0], a[1] + odd_right[1], odd_left[0] + d[0], odd_left[1] + d[1]]
+        matrix = SuperMatrix(ring, SuperShape((2, 2), (2, 2)), rows)
+        path = write_input(f"poly_{kind}.x.json", serialize.encode_matrix(matrix))
+        cli(f"minv_poly_{kind}", "minv", "--in", path)
+        cli(f"ber_poly_{kind}", "ber", "--in", path)
+
+
 def smooth_commands():
     def smooth(tag, pres, values):
         cli(f"smooth_{tag}", "smooth",
@@ -161,5 +184,6 @@ if __name__ == "__main__":
     proptest_reports()
     coset_commands()
     superlinalg_commands()
+    stall_commands()
     smooth_commands()
     print(len(os.listdir(OUT)) - 1, "documents in", OUT)
