@@ -2,13 +2,16 @@
 
 Elements are stored sparsely as a map
 
-    (exponent vector over the even generators, strictly increasing tuple of
-     odd-generator indices)  ->  nonzero GaussianRational coefficient.
+    (exponent vector over the even generators, odd mask)  ->  nonzero
+    GaussianRational coefficient,
 
-The odd part of every stored monomial is in normal order (strictly
-increasing indices) with the reordering sign already absorbed into the
-coefficient, so structural equality of the term maps is equality of ring
-elements.  A product of odd monomials sharing a generator is zero.
+where bit i of the int mask stands for the odd generator t_{i+1}.  A stored
+odd monomial is read in normal order (increasing indices) with the
+reordering sign already absorbed into the coefficient, so structural
+equality of the term maps is equality of ring elements.  Two odd monomials
+whose masks share a bit multiply to zero; otherwise the product's mask is
+their union and its Koszul sign is one popcount (see `sign_mask`).
+Displays and documents list the odd part as an increasing index tuple.
 
 All values are immutable; every operation returns a fresh element.
 """
@@ -17,61 +20,53 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import NotInvertible, ParityViolation, RingMismatch, UnknownVariable
 from .scalars import GaussianRational
 
-TermKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
+# (exponent vector, odd mask): bit i of the mask is the odd generator t_{i+1}
+TermKey = Tuple[Tuple[int, ...], int]
 _SCALAR_TYPES = (int, Fraction, GaussianRational)
 
 
-def merge_odd(left: Tuple[int, ...], right: Tuple[int, ...]):
-    """Merge two normal-ordered odd index tuples.
+def odd_indices(mask: int) -> Tuple[int, ...]:
+    """The odd generator indices of a monomial mask, in increasing order."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
-    Returns (sign, merged) where sign is the Koszul sign of the interleaving,
-    or None when an index repeats (the product vanishes).
+
+def sign_mask(mask: int) -> int:
+    """Bit p is set when an odd number of the bits of `mask` lie above p.
+
+    A suffix XOR of mask >> 1 in O(log q) shifts.  Moving a right factor t_p
+    past the left monomial `mask` into normal order flips the sign once per
+    left factor above p, so the Koszul sign of mask * other is the parity of
+    popcount(sign_mask(mask) & other).
     """
-    if not left:
-        return 1, right
-    if not right:
-        return 1, left
-    merged = []
-    inversions = 0
-    i = j = 0
-    while i < len(left) and j < len(right):
-        a, b = left[i], right[j]
-        if a == b:
-            return None
-        if a < b:
-            merged.append(a)
-            i += 1
-        else:
-            # b jumps over the remaining factors of `left`
-            inversions += len(left) - i
-            merged.append(b)
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    sign = -1 if inversions % 2 else 1
-    return sign, tuple(merged)
+    acc = mask >> 1
+    width = acc.bit_length()
+    shift = 1
+    while shift < width:
+        acc ^= acc >> shift
+        shift <<= 1
+    return acc
 
 
 def accumulate_product(dest: Dict[TermKey, GaussianRational],
                        left: Mapping[TermKey, GaussianRational],
                        right: Mapping[TermKey, GaussianRational]) -> None:
     """Add the term-map product left * right into dest, dropping zeros."""
-    for (exp1, odd1), c1 in left.items():
-        for (exp2, odd2), c2 in right.items():
-            merged = merge_odd(odd1, odd2)
-            if merged is None:
+    right_items = right.items()
+    for (exp1, mask1), c1 in left.items():
+        signs = sign_mask(mask1)
+        for (exp2, mask2), c2 in right_items:
+            if mask1 & mask2:
                 continue
-            sign, odd = merged
-            exp = tuple(a + b for a, b in zip(exp1, exp2))
             coeff = c1 * c2
-            if sign < 0:
+            if (signs & mask2).bit_count() & 1:
                 coeff = -coeff
-            key = (exp, odd)
+            key = (tuple(map(add, exp1, exp2)) if exp1 else exp2, mask1 | mask2)
             acc = dest.get(key)
             total = coeff if acc is None else acc + coeff
             if total:
@@ -116,22 +111,31 @@ class SuperRing:
 
     # -- element constructors ------------------------------------------------
 
-    def element(self, terms: Mapping[TermKey, GaussianRational]) -> "SuperElement":
-        """Build an element from raw term data; odd tuples must already be
-        strictly increasing (normal order), zero coefficients are dropped."""
+    def element(self, terms: Mapping) -> "SuperElement":
+        """Build an element from raw term data; zero coefficients are dropped.
+
+        The odd part of a key is either an int mask below 2**n_odd or a
+        strictly increasing (normal-order) tuple of odd generator indices.
+        """
         clean: Dict[TermKey, GaussianRational] = {}
         for (exp, odd), coeff in terms.items():
             exp = tuple(exp)
-            odd = tuple(odd)
             if len(exp) != self.n_even or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for ring with {self.n_even} even generators")
-            if any(odd[k] >= odd[k + 1] for k in range(len(odd) - 1)):
-                raise ValueError(f"odd index tuple {odd} is not strictly increasing")
-            if odd and (odd[0] < 0 or odd[-1] >= self.n_odd):
-                raise ValueError(f"odd index tuple {odd} out of range for {self.n_odd} odd generators")
+            if isinstance(odd, int):
+                if not 0 <= odd < 1 << self.n_odd:
+                    raise ValueError(f"odd mask {odd} out of range for {self.n_odd} odd generators")
+                mask = odd
+            else:
+                odd = tuple(odd)
+                if any(odd[k] >= odd[k + 1] for k in range(len(odd) - 1)):
+                    raise ValueError(f"odd index tuple {odd} is not strictly increasing")
+                if odd and (odd[0] < 0 or odd[-1] >= self.n_odd):
+                    raise ValueError(f"odd index tuple {odd} out of range for {self.n_odd} odd generators")
+                mask = sum(1 << i for i in odd)
             coeff = GaussianRational.coerce(coeff)
             if coeff:
-                clean[(exp, odd)] = coeff
+                clean[(exp, mask)] = coeff
         return SuperElement(self, clean)
 
     def zero(self) -> "SuperElement":
@@ -141,7 +145,7 @@ class SuperRing:
         coeff = GaussianRational.coerce(value)
         if not coeff:
             return self.zero()
-        return SuperElement(self, {((0,) * self.n_even, ()): coeff})
+        return SuperElement(self, {((0,) * self.n_even, 0): coeff})
 
     def one(self) -> "SuperElement":
         return self.scalar(1)
@@ -154,9 +158,9 @@ class SuperRing:
         if name in self._even_index:
             exp = [0] * self.n_even
             exp[self._even_index[name]] = 1
-            return SuperElement(self, {(tuple(exp), ()): GaussianRational(1)})
+            return SuperElement(self, {(tuple(exp), 0): GaussianRational(1)})
         if name in self._odd_index:
-            return SuperElement(self, {((0,) * self.n_even, (self._odd_index[name],)): GaussianRational(1)})
+            return SuperElement(self, {((0,) * self.n_even, 1 << self._odd_index[name]): GaussianRational(1)})
         raise UnknownVariable(f"{name!r} is not a generator of {self!r}")
 
     def gens(self) -> Dict[str, "SuperElement"]:
@@ -183,7 +187,7 @@ class SuperElement:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {((0,) * self.ring.n_even, ()): GaussianRational(1)}
+        return self.terms == {((0,) * self.ring.n_even, 0): GaussianRational(1)}
 
     def parity(self) -> Optional[int]:
         """0 or 1 for a homogeneous nonzero element, None for a mixed one.
@@ -191,13 +195,13 @@ class SuperElement:
         The zero element reports parity 0 by convention but also passes
         has_parity() for both parities.
         """
-        parities = {len(odd) % 2 for (_, odd) in self.terms}
+        parities = {odd.bit_count() & 1 for (_, odd) in self.terms}
         if len(parities) > 1:
             return None
         return parities.pop() if parities else 0
 
     def has_parity(self, parity: int) -> bool:
-        return all(len(odd) % 2 == parity for (_, odd) in self.terms)
+        return all(odd.bit_count() & 1 == parity for (_, odd) in self.terms)
 
     def is_even(self) -> bool:
         return self.has_parity(0)
@@ -218,7 +222,7 @@ class SuperElement:
             return GaussianRational(0)
         if len(self.terms) == 1:
             (exp, odd), coeff = next(iter(self.terms.items()))
-            if odd == () and all(e == 0 for e in exp):
+            if not odd and all(e == 0 for e in exp):
                 return coeff
         return None
 
@@ -318,13 +322,13 @@ class SuperElement:
                 new_exp = exp[:idx] + (e - 1,) + exp[idx + 1:]
                 terms[(new_exp, odd)] = coeff * e
         else:
-            idx = self.ring._odd_index[var]
+            bit = 1 << self.ring._odd_index[var]
             for (exp, odd), coeff in self.terms.items():
-                if idx not in odd:
+                if not odd & bit:
                     continue
-                pos = odd.index(idx)
-                new_odd = odd[:pos] + odd[pos + 1:]
-                terms[(exp, new_odd)] = -coeff if pos % 2 else coeff
+                # the factor moves to the front past the factors below it
+                below = (odd & (bit - 1)).bit_count()
+                terms[(exp, odd ^ bit)] = -coeff if below & 1 else coeff
         return SuperElement(self.ring, terms)
 
     # -- comparison and display ----------------------------------------------
@@ -341,7 +345,9 @@ class SuperElement:
         return hash((self.ring, frozenset(self.terms.items()))) if value is None else hash(value)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0])
+        """The terms as ((exp, odd index tuple), coeff), in canonical order."""
+        return sorted((((exp, odd_indices(odd)), coeff) for (exp, odd), coeff in self.terms.items()),
+                      key=lambda item: item[0])
 
     def __repr__(self):
         if not self.terms:
@@ -406,7 +412,7 @@ class SuperHom:
                 if e:
                     prod = prod * image**e
             # odd factors are applied in normal order, matching the stored sign
-            for idx in odd:
+            for idx in odd_indices(odd):
                 prod = prod * odd_images[idx]
             total = total + prod
         return total

@@ -13,7 +13,7 @@ basis directions, matching the four-block split of the profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import List, Optional, Tuple
 
@@ -28,19 +28,23 @@ class GrassmannianPoint:
     """A full-rank framed span over a profile.
 
     Equality is identity; `points_equal` decides whether two spans are the
-    same point.
+    same point.  `frame` holds the first r even and s odd rows whose body is
+    invertible, found once at construction.
     """
 
     profile: BlockProfile
     span: SuperMatrix
+    frame: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         profile, span = self.profile, self.span
         expected = SuperShape((profile.m, profile.n), (profile.r, profile.s))
         if span.shape != expected:
             raise ShapeMismatch(f"span shape {span.shape} does not match profile {profile}")
-        if _first_valid_choice(span, profile) is None:
+        frame = _first_valid_choice(span, profile)
+        if frame is None:
             raise RankDeficient("no choice of r even and s odd rows has invertible body")
+        object.__setattr__(self, "frame", frame)
 
     @property
     def ring(self) -> SuperRing:
@@ -63,8 +67,12 @@ def _first_valid_choice(span: SuperMatrix, bp: BlockProfile) -> Optional[Tuple[i
 
 
 def _normalize_on(span: SuperMatrix, rows: Tuple[int, ...]) -> SuperMatrix:
-    sub = span.select(list(rows), list(range(span.n_cols)))
-    return span * sm_inv(sub)
+    """The rows of the span outside `rows`, times the inverse of the frame
+    submatrix on `rows`; the frame rows themselves would become the identity,
+    so they are not computed.  Raises NotInvertible for a singular frame."""
+    cols = list(range(span.n_cols))
+    others = [i for i in range(span.n_rows) if i not in rows]
+    return span.select(others, cols) * sm_inv(span.select(list(rows), cols))
 
 
 def standard_point(bp: BlockProfile, ring: SuperRing) -> GrassmannianPoint:
@@ -80,19 +88,20 @@ def standard_point(bp: BlockProfile, ring: SuperRing) -> GrassmannianPoint:
 
 
 def points_equal(p1: GrassmannianPoint, p2: GrassmannianPoint) -> bool:
-    """Whether the spans differ by a right invertible (r|s) factor."""
+    """Whether the spans differ by a right invertible (r|s) factor.
+
+    Both spans normalized on the frame of p1 carry identity frame rows, so
+    comparing the rows outside the frame decides equality.
+    """
     if p1.profile != p2.profile:
         raise ShapeMismatch(f"profiles differ: {p1.profile} vs {p2.profile}")
     if p1.ring != p2.ring:
         raise RingMismatch("points live over different rings")
-    rows = _first_valid_choice(p1.span, p1.profile)
-    if rows is None:
-        raise RankDeficient("no valid row choice for the first span")
     try:
-        norm2 = _normalize_on(p2.span, rows)
+        norm2 = _normalize_on(p2.span, p1.frame)
     except NotInvertible:  # the rows that frame p1 do not frame p2
         return False
-    return _normalize_on(p1.span, rows) == norm2
+    return _normalize_on(p1.span, p1.frame) == norm2
 
 
 def act(g: SuperMatrix, point: GrassmannianPoint) -> GrassmannianPoint:
@@ -119,8 +128,8 @@ def chart_up(coords: NCoordinates) -> GrassmannianPoint:
 def chart_down(point: GrassmannianPoint) -> NCoordinates:
     """Unipotent coordinates of a big-cell point.
 
-    Normalizes the span so row blocks 1 and 4 carry identity blocks, then
-    reads u, eta, xi, v off row blocks 2 and 3.
+    Normalizes the span on row blocks 1 and 4, then reads u, eta, xi, v off
+    the remaining rows, which are row blocks 2 and 3 in order.
     """
     bp = point.profile
     corner_rows = tuple(bp.block_range(1)) + tuple(bp.block_range(4))
@@ -130,8 +139,8 @@ def chart_down(point: GrassmannianPoint) -> NCoordinates:
         raise NotInBigCell("the (block 1, block 4) row submatrix has singular body") from None
     even_cols = list(range(bp.r))
     odd_cols = list(range(bp.r, bp.r + bp.s))
-    block2 = list(bp.block_range(2))
-    block3 = list(bp.block_range(3))
+    block2 = list(range(bp.m - bp.r))
+    block3 = list(range(bp.m - bp.r, norm.n_rows))
     return NCoordinates(
         bp,
         norm.select(block2, even_cols),

@@ -64,6 +64,59 @@ def adjugate_inverse(matrix, det):
     return SuperMatrix(matrix.ring, matrix.shape, rows)
 
 
+def merge_odd(left, right):
+    """Merge two normal-ordered odd index tuples.
+
+    Returns (sign, merged) where sign is the Koszul sign of the interleaving,
+    or None when an index repeats (the product vanishes).
+    """
+    if not left:
+        return 1, right
+    if not right:
+        return 1, left
+    merged = []
+    inversions = 0
+    i = j = 0
+    while i < len(left) and j < len(right):
+        a, b = left[i], right[j]
+        if a == b:
+            return None
+        if a < b:
+            merged.append(a)
+            i += 1
+        else:
+            # b jumps over the remaining factors of `left`
+            inversions += len(left) - i
+            merged.append(b)
+            j += 1
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    sign = -1 if inversions % 2 else 1
+    return sign, tuple(merged)
+
+
+def tuple_accumulate_product(dest, left, right):
+    """Add the term-map product left * right into dest, dropping zeros; the
+    keys are (exponent vector, strictly increasing odd index tuple)."""
+    for (exp1, odd1), c1 in left.items():
+        for (exp2, odd2), c2 in right.items():
+            merged = merge_odd(odd1, odd2)
+            if merged is None:
+                continue
+            sign, odd = merged
+            exp = tuple(a + b for a, b in zip(exp1, exp2))
+            coeff = c1 * c2
+            if sign < 0:
+                coeff = -coeff
+            key = (exp, odd)
+            acc = dest.get(key)
+            total = coeff if acc is None else acc + coeff
+            if total:
+                dest[key] = total
+            elif acc is not None:
+                del dest[key]
+
+
 def first_valid_choice_product(span, bp):
     """First (r even rows, s odd rows) choice whose row submatrix has
     invertible body, searching all pairs in lexicographic order."""

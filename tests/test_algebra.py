@@ -12,6 +12,9 @@ from sgq import (
     SuperRing,
     UnknownVariable,
 )
+from sgq.algebra import accumulate_product, sign_mask
+
+from oracles import tuple_accumulate_product
 
 LAW_RING = SuperRing([], ["a", "b", "c"])
 MIXED = SuperRing(["x"], ["th1", "th2"])
@@ -282,3 +285,64 @@ def test_units_invert_exactly(ha):
     unit = LAW_RING.scalar(GaussianRational(3, 1)) + soul_part.soul()
     assert (unit * unit.inv()).is_one()
     assert (unit.inv() * unit).is_one()
+
+
+@given(homogeneous_elements(ring=MIXED))
+def test_element_round_trips_its_terms(ha):
+    _, a = ha
+    assert MIXED.element(a.terms) == a
+    assert MIXED.element(dict(a.sorted_terms())) == a
+
+
+# -- the bitmask kernel against the index-tuple oracle --------------------------------
+
+
+def test_element_takes_masks_in_range(grassmann2):
+    t1t2 = grassmann2.gen("t1") * grassmann2.gen("t2")
+    assert grassmann2.element({((), 0b11): 1}) == grassmann2.element({((), (0, 1)): 1}) == t1t2
+    for mask in (-1, 1 << grassmann2.n_odd):
+        with pytest.raises(ValueError):
+            grassmann2.element({((), mask): 1})
+
+
+def test_sign_mask_counts_the_bits_above_each_position():
+    width = 12
+    for mask in range(1 << width):
+        indices = [i for i in range(width) if mask >> i & 1]
+        signs = sign_mask(mask)
+        for p in range(width + 1):
+            inversions = sum(1 for i in indices if i > p)
+            assert signs >> p & 1 == inversions % 2, (mask, p)
+
+
+def _to_masks(terms):
+    return {(exp, sum(1 << i for i in odd)): c for (exp, odd), c in terms.items()}
+
+
+@st.composite
+def raw_term_maps(draw):
+    """Three term maps over one ring with 0-2 even and up to 10 odd
+    generators, odd parts of both parities; few terms per map keep shared
+    odd indices, and so vanishing products, frequent."""
+    n_even = draw(st.integers(0, 2))
+    q = draw(st.integers(0, 10))
+
+    def term_map():
+        terms = {}
+        for _ in range(draw(st.integers(0, 6))):
+            exp = tuple(draw(st.integers(0, 2)) for _ in range(n_even))
+            odd = tuple(sorted(draw(st.sets(st.integers(0, max(q - 1, 0)), max_size=q))))
+            terms[(exp, odd)] = draw(small_coeffs())
+        return terms
+
+    return term_map(), term_map(), term_map()
+
+
+@given(raw_term_maps())
+def test_bitmask_product_matches_tuple_oracle(maps):
+    start, left, right = maps
+    expected = dict(start)
+    tuple_accumulate_product(expected, left, right)
+    dest = _to_masks(start)
+    accumulate_product(dest, _to_masks(left), _to_masks(right))
+    assert dest == _to_masks(expected)
