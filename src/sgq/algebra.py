@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import add
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -282,14 +283,14 @@ class SuperElement:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one()
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return self.ring.one() if result is None else result
 
     def inv(self) -> "SuperElement":
         """Exact inverse via the terminating geometric series.
@@ -408,11 +409,12 @@ class SuperHom:
         total = self.target.zero()
         for (exp, odd), coeff in element.terms.items():
             prod = self.target.scalar(coeff)
-            for image, e in zip(even_images, exp):
-                if e:
-                    prod = prod * image**e
             # odd factors are applied in normal order, matching the stored sign
-            for idx in odd_indices(odd):
-                prod = prod * odd_images[idx]
+            factors = chain((image**e for image, e in zip(even_images, exp) if e),
+                            (odd_images[idx] for idx in odd_indices(odd)))
+            for factor in factors:
+                prod = prod * factor
+                if not prod.terms:
+                    break
             total = total + prod
         return total

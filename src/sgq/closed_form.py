@@ -4,9 +4,11 @@ The factorization g = assemble(coords) * p admits closed-form expressions
 for its output blocks in terms of the input blocks.  This module evaluates a
 fixed list of candidate expressions — the direct read-off line plus the
 commonly quoted one-term corrections for the interior blocks and the solved
-forms of u, eta, xi, v — against the block solver on a concrete matrix, and
-emits a machine-readable report saying which candidates reproduce the solver
-exactly and what the residual is when one does not.
+forms of u, eta, xi, v — against the solver (`flag.normal_form`, one right
+division by the corner) on a concrete matrix, and emits a machine-readable
+report saying which candidates reproduce the solver exactly and what the
+residual is when one does not.  The solved u and v are bracket formulas the
+solver does not use, so they check it independently.
 
 Variants that drop a correction term are included on purpose: their recorded
 residuals document that the solver's extra terms are required.  The solver is

@@ -8,9 +8,10 @@ directions; its stabilizer P consists of the invertible matrices whose
 identity diagonal blocks and free blocks u, eta, xi, v at those four
 positions.  On the big cell (corner blocks with invertible body) every g
 factors uniquely as g = assemble(coords) * p with p in P; the factorization
-is solved block by block from the defining system, not taken from any quoted
-closed form, and the solved values are the reference the closed forms are
-checked against (see closed_form).
+is one right division of g's row blocks 2 and 3 by its corner, solved from
+the defining system, not taken from any quoted closed form, and the solved
+values are the reference the closed forms are checked against (see
+closed_form).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, Tuple
 
 from .algebra import SuperRing
 from .errors import NotInBigCell, NotInvertible, ShapeMismatch
-from .matrix import SuperMatrix, SuperShape, block_matrix, inv_even, is_invertible
+from .matrix import SuperMatrix, SuperShape, block_matrix, is_invertible, right_divide
 
 
 @dataclass(frozen=True)
@@ -159,45 +160,50 @@ def in_big_cell(g: SuperMatrix, bp: BlockProfile) -> bool:
     return is_invertible(g.select(corner, corner))
 
 
+def coordinates_from_quotient(norm: SuperMatrix, bp: BlockProfile) -> NCoordinates:
+    """The big-cell coordinates held by a quotient of row blocks 2 and 3 by
+    row blocks 1 and 4, on column blocks 1 and 4: its row block 2 is
+    [u eta] and its row block 3 is [xi v]."""
+    even_cols = range(bp.r)
+    odd_cols = range(bp.r, bp.r + bp.s)
+    block2 = range(bp.m - bp.r)
+    block3 = range(bp.m - bp.r, norm.n_rows)
+    return NCoordinates(
+        bp,
+        norm.select(block2, even_cols),
+        norm.select(block2, odd_cols),
+        norm.select(block3, even_cols),
+        norm.select(block3, odd_cols),
+    )
+
+
 def normal_form(g: SuperMatrix, bp: BlockProfile) -> Tuple[NCoordinates, SuperMatrix]:
     """The unique factorization g = assemble(coords) * p with p parabolic.
 
-    Solved by block elimination of the sixteen defining equations.  Rows 1
-    and 4 of the system are direct read-offs; the four corner equations of
-    rows 2 and 3 determine (u, eta) and (v, xi) through the two Schur-type
-    brackets, and the remaining parabolic blocks follow by substitution.
+    Row blocks 1 and 4 of n are those of the identity, so p shares them with
+    g, and on column blocks 1 and 4, where p vanishes in row blocks 2 and 3,
+    the system reads g[(2, 3), (1, 4)] = [u eta; xi v] * g[(1, 4), (1, 4)].
+    One right division by the corner solves it; the corner's two even
+    inverses are the big-cell test.  Since n^-1 = assemble(-coords), row
+    blocks 2 and 3 of p are g's minus [u eta; xi v] times g's row blocks 1
+    and 4.
     """
-    b = split_blocks(g, bp)
+    _check_square(g, bp)
+    corner = list(bp.block_range(1)) + list(bp.block_range(4))
+    inner = list(bp.block_range(2)) + list(bp.block_range(3))
     try:
-        g11_inv = inv_even(b[(1, 1)])
-        g44_inv = inv_even(b[(4, 4)])
+        norm = right_divide(g.select(inner, corner), g.select(corner, corner))
     except NotInvertible:
         raise NotInBigCell(f"corner blocks of g lack invertible body under profile {bp}") from None
     if not is_invertible(g):
         raise NotInvertible("g has singular body")
-
-    # row 2, columns 1 and 4:  u*g11 + eta*gamma41 = g21,  u*gamma14 + eta*g44 = gamma24
-    bracket_u = inv_even(b[(1, 1)] - b[(1, 4)] * g44_inv * b[(4, 1)])
-    u = (b[(2, 1)] - b[(2, 4)] * g44_inv * b[(4, 1)]) * bracket_u
-    eta = (b[(2, 4)] - u * b[(1, 4)]) * g44_inv
-
-    # row 3, columns 4 and 1:  xi*gamma14 + v*g44 = g34,  xi*g11 + v*gamma41 = gamma31
-    bracket_v = inv_even(b[(4, 4)] - b[(4, 1)] * g11_inv * b[(1, 4)])
-    v = (b[(3, 4)] - b[(3, 1)] * g11_inv * b[(1, 4)]) * bracket_v
-    xi = (b[(3, 1)] - v * b[(4, 1)]) * g11_inv
-
-    coords = NCoordinates(bp, u, eta, xi, v)
-    ring = g.ring
-    z = lambda i, j: SuperMatrix.zeros(ring, bp.block_shape(i, j))
-    p = block_matrix([
-        [b[(1, 1)], b[(1, 2)], b[(1, 3)], b[(1, 4)]],
-        [z(2, 1), b[(2, 2)] - u * b[(1, 2)] - eta * b[(4, 2)],
-         b[(2, 3)] - u * b[(1, 3)] - eta * b[(4, 3)], z(2, 4)],
-        [z(3, 1), b[(3, 2)] - xi * b[(1, 2)] - v * b[(4, 2)],
-         b[(3, 3)] - xi * b[(1, 3)] - v * b[(4, 3)], z(3, 4)],
-        [b[(4, 1)], b[(4, 2)], b[(4, 3)], b[(4, 4)]],
-    ])
-    return coords, p
+    # columns 1 and 4 of p vanish on these rows; columns 2 and 3 are g's less n's part
+    interior = g.select(inner, inner) - norm * g.select(corner, inner)
+    zero = g.ring.zero()
+    rows = [list(row) for row in g.entries]
+    for i, row in zip(inner, interior.entries):
+        rows[i] = [zero] * bp.r + list(row) + [zero] * bp.s
+    return coordinates_from_quotient(norm, bp), SuperMatrix._raw(g.ring, g.shape, rows)
 
 
 def cosets_equal(g1: SuperMatrix, g2: SuperMatrix, bp: BlockProfile) -> bool:

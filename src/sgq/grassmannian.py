@@ -19,8 +19,8 @@ from typing import List, Optional, Tuple
 
 from .algebra import SuperRing
 from .errors import NotInBigCell, NotInvertible, RankDeficient, RingMismatch, ShapeMismatch
-from .flag import BlockProfile, NCoordinates, assemble
-from .matrix import SuperMatrix, SuperShape, is_invertible, sm_inv
+from .flag import BlockProfile, NCoordinates, assemble, coordinates_from_quotient
+from .matrix import SuperMatrix, SuperShape, is_invertible, right_divide
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -67,12 +67,12 @@ def _first_valid_choice(span: SuperMatrix, bp: BlockProfile) -> Optional[Tuple[i
 
 
 def _normalize_on(span: SuperMatrix, rows: Tuple[int, ...]) -> SuperMatrix:
-    """The rows of the span outside `rows`, times the inverse of the frame
+    """The rows of the span outside `rows`, right-divided by the frame
     submatrix on `rows`; the frame rows themselves would become the identity,
     so they are not computed.  Raises NotInvertible for a singular frame."""
-    cols = list(range(span.n_cols))
+    cols = range(span.n_cols)
     others = [i for i in range(span.n_rows) if i not in rows]
-    return span.select(others, cols) * sm_inv(span.select(list(rows), cols))
+    return right_divide(span.select(others, cols), span.select(rows, cols))
 
 
 def standard_point(bp: BlockProfile, ring: SuperRing) -> GrassmannianPoint:
@@ -128,8 +128,8 @@ def chart_up(coords: NCoordinates) -> GrassmannianPoint:
 def chart_down(point: GrassmannianPoint) -> NCoordinates:
     """Unipotent coordinates of a big-cell point.
 
-    Normalizes the span on row blocks 1 and 4, then reads u, eta, xi, v off
-    the remaining rows, which are row blocks 2 and 3 in order.
+    Normalizes the span on row blocks 1 and 4; the remaining rows, row
+    blocks 2 and 3 in order, carry u, eta, xi, v as in `normal_form`.
     """
     bp = point.profile
     corner_rows = tuple(bp.block_range(1)) + tuple(bp.block_range(4))
@@ -137,14 +137,4 @@ def chart_down(point: GrassmannianPoint) -> NCoordinates:
         norm = _normalize_on(point.span, corner_rows)
     except NotInvertible:
         raise NotInBigCell("the (block 1, block 4) row submatrix has singular body") from None
-    even_cols = list(range(bp.r))
-    odd_cols = list(range(bp.r, bp.r + bp.s))
-    block2 = list(range(bp.m - bp.r))
-    block3 = list(range(bp.m - bp.r, norm.n_rows))
-    return NCoordinates(
-        bp,
-        norm.select(block2, even_cols),
-        norm.select(block2, odd_cols),
-        norm.select(block3, even_cols),
-        norm.select(block3, odd_cols),
-    )
+    return coordinates_from_quotient(norm, bp)

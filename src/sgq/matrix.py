@@ -363,8 +363,10 @@ def is_invertible(matrix: SuperMatrix) -> bool:
     return matrix.shape.is_square and det_even(matrix.body()).is_unit()
 
 
-def sm_inv(matrix: SuperMatrix) -> SuperMatrix:
-    """Exact inverse of an invertible square supermatrix via Schur complement."""
+def _schur_step(matrix: SuperMatrix):
+    """(C, D^-1, B D^-1, S^-1) for a square matrix [[A, B], [C, D]], where
+    S = A - B D^-1 C is the Schur complement of the odd-odd block D.  Raises
+    NotInvertible naming the block whose body is singular."""
     if not matrix.shape.is_square:
         raise ShapeMismatch(f"cannot invert non-square shape {matrix.shape}")
     a, b, c, d = _parity_blocks(matrix)
@@ -373,15 +375,39 @@ def sm_inv(matrix: SuperMatrix) -> SuperMatrix:
     except NotInvertible as exc:
         raise NotInvertible(f"odd-odd block is singular: {exc}") from None
     b_d_inv = b * d_inv
-    schur = a - b_d_inv * c
     try:
-        schur_inv = inv_even(schur)
+        schur_inv = inv_even(a - b_d_inv * c)
     except NotInvertible as exc:
         raise NotInvertible(f"even-even block is singular: {exc}") from None
+    return c, d_inv, b_d_inv, schur_inv
+
+
+def sm_inv(matrix: SuperMatrix) -> SuperMatrix:
+    """Exact inverse of an invertible square supermatrix via Schur complement."""
+    c, d_inv, b_d_inv, schur_inv = _schur_step(matrix)
     top_right = -(schur_inv * b_d_inv)
     bottom_left = -(d_inv * c * schur_inv)
     bottom_right = d_inv - bottom_left * b_d_inv
     return block_matrix([[schur_inv, top_right], [bottom_left, bottom_right]])
+
+
+def right_divide(rhs: SuperMatrix, matrix: SuperMatrix) -> SuperMatrix:
+    """rhs * matrix^-1 without forming the inverse.
+
+    With rhs = [R1 | R2] split like the rows of matrix, the quotient is
+    [X1 | X2] with X1 = (R1 - R2 D^-1 C) S^-1 and X2 = R2 D^-1 - X1 B D^-1.
+    Raises NotInvertible exactly as sm_inv does.
+    """
+    if rhs.shape.cols != matrix.shape.rows:
+        raise ShapeMismatch(f"cannot divide shape {rhs.shape} by shape {matrix.shape}")
+    c, d_inv, b_d_inv, schur_inv = _schur_step(matrix)
+    rows = range(rhs.n_rows)
+    split = matrix.shape.rows[0]
+    r2_d_inv = rhs.select(rows, range(split, rhs.n_cols)) * d_inv
+    x1 = (rhs.select(rows, range(split)) - r2_d_inv * c) * schur_inv
+    x2 = r2_d_inv - x1 * b_d_inv
+    return SuperMatrix._raw(rhs.ring, SuperShape(rhs.shape.rows, matrix.shape.cols),
+                            [left + right for left, right in zip(x1.entries, x2.entries)])
 
 
 def berezinian(matrix: SuperMatrix) -> SuperElement:

@@ -178,8 +178,3 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     _set_im(obj, b)
     _set_den(obj, d)
     return obj
-
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)

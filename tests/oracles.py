@@ -6,7 +6,16 @@ routine took its place; the tests compare the two on the same inputs.
 
 from itertools import combinations
 
-from sgq import SuperMatrix, is_invertible
+from sgq import (
+    NCoordinates,
+    NotInBigCell,
+    NotInvertible,
+    SuperMatrix,
+    block_matrix,
+    inv_even,
+    is_invertible,
+    split_blocks,
+)
 
 
 def subset_dp_det(matrix):
@@ -126,3 +135,44 @@ def first_valid_choice_product(span, bp):
             if is_invertible(span.select(list(rows), list(range(span.n_cols)))):
                 return rows
     return None
+
+
+def bracket_normal_form(g, bp):
+    """The factorization g = assemble(coords) * p solved block by block.
+
+    Rows 1 and 4 of the sixteen defining equations are direct read-offs; the
+    four corner equations of rows 2 and 3 determine (u, eta) and (v, xi)
+    through two Schur-type brackets, and the remaining parabolic blocks
+    follow by substitution.  Four even inverses: both corners and both
+    brackets.
+    """
+    b = split_blocks(g, bp)
+    try:
+        g11_inv = inv_even(b[(1, 1)])
+        g44_inv = inv_even(b[(4, 4)])
+    except NotInvertible:
+        raise NotInBigCell(f"corner blocks of g lack invertible body under profile {bp}") from None
+    if not is_invertible(g):
+        raise NotInvertible("g has singular body")
+
+    # row 2, columns 1 and 4:  u*g11 + eta*gamma41 = g21,  u*gamma14 + eta*g44 = gamma24
+    bracket_u = inv_even(b[(1, 1)] - b[(1, 4)] * g44_inv * b[(4, 1)])
+    u = (b[(2, 1)] - b[(2, 4)] * g44_inv * b[(4, 1)]) * bracket_u
+    eta = (b[(2, 4)] - u * b[(1, 4)]) * g44_inv
+
+    # row 3, columns 4 and 1:  xi*gamma14 + v*g44 = g34,  xi*g11 + v*gamma41 = gamma31
+    bracket_v = inv_even(b[(4, 4)] - b[(4, 1)] * g11_inv * b[(1, 4)])
+    v = (b[(3, 4)] - b[(3, 1)] * g11_inv * b[(1, 4)]) * bracket_v
+    xi = (b[(3, 1)] - v * b[(4, 1)]) * g11_inv
+
+    coords = NCoordinates(bp, u, eta, xi, v)
+    z = lambda i, j: SuperMatrix.zeros(g.ring, bp.block_shape(i, j))
+    p = block_matrix([
+        [b[(1, 1)], b[(1, 2)], b[(1, 3)], b[(1, 4)]],
+        [z(2, 1), b[(2, 2)] - u * b[(1, 2)] - eta * b[(4, 2)],
+         b[(2, 3)] - u * b[(1, 3)] - eta * b[(4, 3)], z(2, 4)],
+        [z(3, 1), b[(3, 2)] - xi * b[(1, 2)] - v * b[(4, 2)],
+         b[(3, 3)] - xi * b[(1, 3)] - v * b[(4, 3)], z(3, 4)],
+        [b[(4, 1)], b[(4, 2)], b[(4, 3)], b[(4, 4)]],
+    ])
+    return coords, p

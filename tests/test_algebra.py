@@ -12,7 +12,9 @@ from sgq import (
     SuperRing,
     UnknownVariable,
 )
+from sgq import algebra
 from sgq.algebra import accumulate_product, sign_mask
+from sgq.sampling import random_element, trial_rng
 
 from oracles import tuple_accumulate_product
 
@@ -131,6 +133,41 @@ def test_unit_with_polynomial_soul_inverts(mixed_ring):
     assert (a * a.inv()).is_one()
 
 
+def _count_products(monkeypatch):
+    """Count the element products made from now on."""
+    calls = []
+    original = algebra.accumulate_product
+
+    def spy(dest, left, right):
+        calls.append(1)
+        original(dest, left, right)
+
+    monkeypatch.setattr(algebra, "accumulate_product", spy)
+    return calls
+
+
+def test_power_zero_and_one(monkeypatch, mixed_ring):
+    x = mixed_ring.gen("x") + mixed_ring.gen("th1") + mixed_ring.scalar(2)
+    calls = _count_products(monkeypatch)
+    assert x**0 == mixed_ring.one()
+    assert x**1 == x
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_power_matches_repeated_products(seed):
+    x = random_element(MIXED, trial_rng(seed, "power", 0))
+    expected = MIXED.one()
+    for k in range(7):
+        assert x**k == expected
+        expected = expected * x
+
+
+def test_negative_power_rejected(mixed_ring):
+    with pytest.raises(ValueError):
+        mixed_ring.gen("x") ** -1
+
+
 # -- substitution ---------------------------------------------------------------
 
 
@@ -148,6 +185,20 @@ def test_substitute_kills_repeated_odds(grassmann2):
         "xi": grassmann2.gen("t1"),
     })
     assert hom(source.gen("x") * source.gen("xi")).is_zero()
+
+
+def test_substitution_stops_at_a_zero_product(monkeypatch, grassmann2):
+    # x maps to zero: the first product is zero, so t1 and t2 are never applied
+    source = SuperRing(["x"], ["xi", "zeta"])
+    hom = SuperHom(source, grassmann2, {
+        "x": grassmann2.zero(),
+        "xi": grassmann2.gen("t1"),
+        "zeta": grassmann2.gen("t2"),
+    })
+    element = source.gen("x") * source.gen("xi") * source.gen("zeta")
+    calls = _count_products(monkeypatch)
+    assert hom(element).is_zero()
+    assert len(calls) == 1
 
 
 def test_parity_violation_at_construction(grassmann2):

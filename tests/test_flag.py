@@ -20,6 +20,8 @@ from sgq import (
 )
 from sgq.sampling import random_big_cell, random_ncoords, random_parabolic, trial_rng
 
+from oracles import bracket_normal_form
+
 BP_SMALL = BlockProfile(1, 1, 1, 0)
 BP_FULL = BlockProfile(2, 2, 1, 1)
 
@@ -179,6 +181,53 @@ def test_cosets_equal_reflexive_and_invariant(grassmann4):
     assert cosets_equal(g, g, BP_FULL)
     p_member = random_parabolic(grassmann4, BP_FULL, rng)
     assert cosets_equal(g, g * p_member, BP_FULL)
+
+
+ORACLE_PROFILES = [(2, 2, 1, 1), (3, 2, 2, 1), (2, 2, 0, 1), (2, 2, 1, 0),
+                   (2, 2, 2, 2), (2, 2, 0, 0), (3, 0, 1, 0), (0, 3, 0, 1)]
+
+
+def _solve(solver, g, bp):
+    """The factorization, or the type and message of the error it ends in."""
+    try:
+        return solver(g, bp)
+    except (NotInBigCell, NotInvertible) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("profile", ORACLE_PROFILES)
+@pytest.mark.parametrize("index", range(3))
+def test_normal_form_matches_bracket_oracle(grassmann4, profile, index):
+    bp = BlockProfile(*profile)
+    g = random_big_cell(grassmann4, bp, trial_rng(index, "oracle", sum(profile)))
+    coords, p = normal_form(g, bp)
+    assert (coords, p) == bracket_normal_form(g, bp)
+    assert standard_parabolic_member(p, bp)
+    assert assemble(coords) * p == g
+
+
+@pytest.mark.parametrize("profile", ORACLE_PROFILES)
+def test_normal_form_errors_match_bracket_oracle(grassmann4, profile):
+    bp = BlockProfile(*profile)
+    g = random_big_cell(grassmann4, bp, trial_rng(1, "oracle_errors", sum(profile)))
+    broken = []
+    # the first row of a corner block loses its body on that block's columns
+    for k in (1, 4):
+        block = bp.block_range(k)
+        if len(block):
+            rows = [list(row) for row in g.entries]
+            rows[block[0]] = [e.soul() if j in block else e for j, e in enumerate(rows[block[0]])]
+            broken.append(SuperMatrix(g.ring, g.shape, rows))
+    # the first row of block 2 repeats row 0 on the even columns: g is
+    # singular, the corners are intact
+    if 0 < bp.r < bp.m:
+        rows = [list(row) for row in g.entries]
+        rows[bp.r][:bp.m] = rows[0][:bp.m]
+        broken.append(SuperMatrix(g.ring, g.shape, rows))
+    for matrix in broken:
+        outcome = _solve(normal_form, matrix, bp)
+        assert outcome == _solve(bracket_normal_form, matrix, bp)
+        assert outcome[0] in (NotInBigCell, NotInvertible)
 
 
 def test_cosets_distinct_normal_forms(grassmann4):

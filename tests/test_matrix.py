@@ -15,7 +15,7 @@ from sgq import (
     is_invertible,
     sm_inv,
 )
-from sgq.matrix import _charpoly, _det_and_inverse, _unit_pivot_elimination
+from sgq.matrix import _charpoly, _det_and_inverse, _unit_pivot_elimination, right_divide
 from sgq import sampling
 from sgq.sampling import random_invertible, random_soul, random_unit, trial_rng
 
@@ -93,6 +93,43 @@ def test_singular_body_reports_block(grassmann2):
     with pytest.raises(NotInvertible) as err:
         sm_inv(matrix)
     assert str(err.value) == "odd-odd block is singular: determinant is not a unit: body 0"
+
+
+def _random_rows(ring, rng, shape):
+    """A pattern-valid matrix of the given shape with random homogeneous entries."""
+    rows = [[sampling.random_homogeneous(ring, rng, (shape.row_parity(i) + shape.col_parity(j)) % 2)
+             for j in range(shape.n_cols)] for i in range(shape.n_rows)]
+    return SuperMatrix(ring, shape, rows)
+
+
+@pytest.mark.parametrize("m, n", [(0, 2), (2, 0), (1, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("rows", [(0, 0), (1, 0), (0, 1), (2, 1)])
+def test_right_divide_matches_product_with_inverse(grassmann4, m, n, rows):
+    rng = trial_rng(m * 10 + n, "right_divide", rows[0] * 10 + rows[1])
+    matrix = random_invertible(grassmann4, rng, m, n)
+    rhs = _random_rows(grassmann4, rng, SuperShape(rows, (m, n)))
+    quotient = right_divide(rhs, matrix)
+    assert quotient.shape == rhs.shape
+    assert quotient == rhs * sm_inv(matrix)
+    assert quotient * matrix == rhs
+
+
+def test_right_divide_reports_the_singular_block(grassmann2):
+    t1t2 = grassmann2.gen("t1") * grassmann2.gen("t2")
+    one, zero = grassmann2.one(), grassmann2.zero()
+    rhs = SuperMatrix.identity(grassmann2, 1, 1)
+    with pytest.raises(NotInvertible) as err:
+        right_divide(rhs, sq(grassmann2, [[t1t2, zero], [zero, one]]))
+    assert str(err.value) == "even-even block is singular: determinant is not a unit: body 0"
+    with pytest.raises(NotInvertible) as err:
+        right_divide(rhs, sq(grassmann2, [[one, zero], [zero, t1t2]]))
+    assert str(err.value) == "odd-odd block is singular: determinant is not a unit: body 0"
+
+
+def test_right_divide_needs_matching_columns(grassmann2):
+    rhs = SuperMatrix.zeros(grassmann2, SuperShape((1, 0), (2, 0)))
+    with pytest.raises(ShapeMismatch):
+        right_divide(rhs, SuperMatrix.identity(grassmann2, 1, 1))
 
 
 def test_determinant_division_free_on_zero_divisors():

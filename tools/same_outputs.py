@@ -10,7 +10,9 @@ It covers `run_suite("all", 3, seed)` for seeds 0-3 at the default size and
 at (3, 2 | 2, 1), q = 5, and the `factor`, `orbit`, `chart-down`, `minv`,
 `ber` and `smooth` commands on inputs from the checkout's `bench/inputs.py`,
 including inputs that end in `NotInBigCell`, `NotInvertible`, `NotAPoint`,
-`UnassignedVariable` and schema errors.  The `minv` and `ber` inputs also
+`UnassignedVariable` and schema errors.  The coset profiles include ones
+with empty blocks (r = 0, s = 0, r = m, s = n, n = 0), so the right division
+by the corner meets empty even or odd parts.  The `minv` and `ber` inputs also
 cover the row swaps and the stall of the even-block elimination, and, over a
 ring with an even generator, a stall whose determinant is still a unit.  Each
 `cli_*.txt` file holds the exit status, stderr and output document of one
@@ -75,18 +77,25 @@ def proptest_reports():
 
 
 def coset_commands():
-    for profile, q, count in (((2, 2, 1, 1), 3, 6), ((3, 2, 2, 1), 3, 3), ((4, 4, 2, 2), 6, 2)):
-        m, r = profile[0], profile[2]
+    # the last five profiles leave one or more of the four blocks empty
+    profiles = (((2, 2, 1, 1), 3, 6), ((3, 2, 2, 1), 3, 3), ((4, 4, 2, 2), 6, 2),
+                ((2, 2, 0, 1), 3, 2), ((2, 2, 1, 0), 3, 2), ((2, 2, 2, 2), 3, 2),
+                ((2, 2, 0, 0), 3, 2), ((3, 0, 1, 0), 3, 2))
+    for profile, q, count in profiles:
+        m, n, r, s = profile
+        # the first diagonal index of a corner block, if either is nonempty
+        k = 0 if r else m + n - s if s else None
         prof = ",".join(map(str, profile))
         for index in range(count):
             g, _, _ = inputs.coset_input(SEED, index, profile, q, 3)
             cases = {
                 "ok": g,
-                # corner (1,1) loses its body: not in the big cell
-                "corner": edited(g, {(0, 0): lambda e, rows: e.soul()}),
+                # a corner diagonal entry loses its body: not in the big cell
+                "corner": edited(g, {(k, k): lambda e, rows: e.soul()}) if k is not None else None,
                 # the first row of block 2 repeats row 0 on the even columns:
                 # g is singular, the corners are intact
-                "singular": edited(g, {(r, j): lambda e, rows, j=j: rows[0][j] for j in range(m)}) if r < m else None,
+                "singular": (edited(g, {(r, j): lambda e, rows, j=j: rows[0][j] for j in range(m)})
+                             if 0 < r < m else None),
             }
             for kind, matrix in cases.items():
                 if matrix is None:
