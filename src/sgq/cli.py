@@ -13,6 +13,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -44,6 +45,13 @@ def _load(path: str):
         raise SchemaError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+    except ValueError as exc:
+        # an integer literal over the interpreter's int_max_str_digits
+        raise SchemaError(f"{path} holds a number too long to read: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{path} nests arrays or objects too deeply to read") from None
 
 
 def _emit(doc, out_path: Optional[str]) -> None:
@@ -165,7 +173,9 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it found it
     parser = argparse.ArgumentParser(
         prog="sgq",
         description="Exact supercommutative algebra: factorization, Berezinian, charts, smoothness.",

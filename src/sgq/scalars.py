@@ -11,11 +11,27 @@ from typing import Union
 RationalLike = Union[int, Fraction, "GaussianRational"]
 
 
+def ratio_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)), for den > 0, at any length: str() of an int
+    stops at the interpreter's int_max_str_digits (4300 by default), Decimal
+    does not."""
+    g = gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    digits = str(Decimal(num))
+    return digits if den == 1 else f"{digits}/{Decimal(den)}"
+
+
 def rational_str(value: Fraction) -> str:
-    """str(value) at any length: str() of an int stops at the interpreter's
-    int_max_str_digits (4300 by default), Decimal does not."""
-    digits = str(Decimal(value.numerator))
-    return digits if value.denominator == 1 else f"{digits}/{Decimal(value.denominator)}"
+    """str(value) at any length."""
+    return ratio_str(value.numerator, value.denominator)
+
+
+def _canonical_triple(a: int, d1: int, b: int, d2: int):
+    """The canonical (re_num, im_num, den) of a/d1 + (b/d2)*i, for d1, d2 > 0."""
+    a, b, d = a * d2, b * d1, d1 * d2
+    g = gcd(a, b, d)
+    return a // g, b // g, d // g
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -36,13 +52,10 @@ class GaussianRational:
         for part in (re, im):
             if not isinstance(part, (int, Fraction)):
                 raise TypeError(f"Gaussian rational components must be int or Fraction, not {part!r}")
-        a, d1 = re.numerator, re.denominator
-        b, d2 = im.numerator, im.denominator
-        a, b, d = a * d2, b * d1, d1 * d2
-        g = gcd(a, b, d)
-        _set_re(self, a // g)
-        _set_im(self, b // g)
-        _set_den(self, d // g)
+        a, b, d = _canonical_triple(re.numerator, re.denominator, im.numerator, im.denominator)
+        _set_re(self, a)
+        _set_im(self, b)
+        _set_den(self, d)
 
     @property
     def re(self) -> Fraction:
@@ -169,6 +182,12 @@ class GaussianRational:
 _set_re = GaussianRational.re_num.__set__
 _set_im = GaussianRational.im_num.__set__
 _set_den = GaussianRational.den.__set__
+
+
+def from_ratios(a: int, d1: int, b: int = 0, d2: int = 1) -> GaussianRational:
+    """The value a/d1 + (b/d2)*i from integers, for d1, d2 > 0: the
+    constructor's normalization without building a Fraction."""
+    return _make(*_canonical_triple(a, d1, b, d2))
 
 
 def _make(a: int, b: int, d: int) -> GaussianRational:

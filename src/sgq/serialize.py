@@ -1,16 +1,26 @@
 """JSON interchange for all value types.
 
-All coefficients travel as exact strings ("n" or "n/d"); structural counts
-(shapes, exponents, odd indices, profiles) are plain integers.  Emission is
-canonical — terms sorted by (exponent vector, odd indices), keys sorted,
-two-space indent — so equal values always serialize to identical bytes.
+All coefficients travel as exact strings ("n" or "n/d" in lowest terms);
+structural counts (shapes, exponents, odd indices, profiles) are plain
+integers.  Emission is canonical — terms sorted by (exponent vector, odd
+indices), keys sorted, two-space indent — so equal values always serialize
+to identical bytes.  `canonical_dumps` writes those bytes itself, in one
+pass: they are the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
+plus a newline, which the standard library would produce through its
+pure-Python encoder.
+
+On input, a coefficient in the written form goes straight to integers; any
+other string is read by `Fraction`'s grammar, except exponent notation, and
+normalized.  Every parser raises `SchemaError` with the locus of the first
+check that fails.
 """
 
 from __future__ import annotations
 
-import json
+import re
 import textwrap
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional
 
 from .algebra import SuperElement, SuperRing
@@ -18,17 +28,60 @@ from .errors import ParityPatternViolation, RingMismatch, SchemaError, ShapeMism
 from .flag import BlockProfile, NCoordinates
 from .grassmannian import GrassmannianPoint
 from .matrix import SuperMatrix, SuperShape
-from .scalars import GaussianRational, rational_str
+from .scalars import GaussianRational, from_ratios, ratio_str
 from .smoothness import Presentation, RationalPoint
 
 
 def canonical_dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The canonical text of a document: dicts with str keys, lists, str,
+    int, bool and None.  Any other type raises TypeError."""
+    parts: List[str] = []
+    _write(doc, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
+def _write(value, parts: List[str], newline: str) -> None:
+    # newline is "\n" plus the indent of the line that holds value
+    kind = type(value)
+    if kind is str:
+        parts.append(_quote(value))
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(lead)
+            parts.append(_quote(key))
+            parts.append(": ")
+            _write(value[key], parts, inner)
+            lead = "," + inner
+        parts.append(newline + "}")
+    elif kind is list:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            parts.append(lead)
+            _write(item, parts, inner)
+            lead = "," + inner
+        parts.append(newline + "]")
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif value is None:
+        parts.append("null")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _is_int(value) -> bool:
@@ -37,11 +90,13 @@ def _is_int(value) -> bool:
 
 
 def _get(obj, key, kind, where):
-    _expect(isinstance(obj, dict), f"{where}: expected an object")
-    _expect(key in obj, f"{where}: missing key {key!r}")
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    if key not in obj:
+        raise SchemaError(f"{where}: missing key {key!r}")
     value = obj[key]
-    _expect(isinstance(value, kind) and not isinstance(value, bool),
-            f"{where}.{key}: wrong type {type(value).__name__}")
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise SchemaError(f"{where}.{key}: wrong type {type(value).__name__}")
     return value
 
 
@@ -66,16 +121,35 @@ def _fraction_from_str(text: str, where: str) -> Fraction:
         raise _bad_rational(text, where, str(exc)) from None
 
 
+# the form coefficients are written in: ASCII digits, no sign but "-"
+_WRITTEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+
+def _ratio_from_str(text: str, where: str):
+    """(numerator, denominator > 0) of a coefficient string."""
+    written = _WRITTEN(text)
+    if written is not None:
+        num, den = written.groups()
+        try:
+            den = int(den) if den else 1
+            if den:
+                return int(num), den
+        except ValueError:
+            pass  # over the int digit limit: Fraction reports it below
+    value = _fraction_from_str(text, where)
+    return value.numerator, value.denominator
+
+
 def encode_coeff(value: GaussianRational) -> Dict[str, str]:
-    return {"re": rational_str(value.re), "im": rational_str(value.im)}
+    return {"re": ratio_str(value.re_num, value.den), "im": ratio_str(value.im_num, value.den)}
 
 
 def parse_coeff(obj, where="coeff") -> GaussianRational:
     if isinstance(obj, str):
-        return GaussianRational(_fraction_from_str(obj, where))
-    re = _get(obj, "re", str, where)
-    im = _get(obj, "im", str, where)
-    return GaussianRational(_fraction_from_str(re, where), _fraction_from_str(im, where))
+        return from_ratios(*_ratio_from_str(obj, where))
+    re_text = _get(obj, "re", str, where)
+    im_text = _get(obj, "im", str, where)
+    return from_ratios(*_ratio_from_str(re_text, where), *_ratio_from_str(im_text, where))
 
 
 # -- rings and elements ----------------------------------------------------------
@@ -88,7 +162,8 @@ def encode_ring(ring: SuperRing) -> Dict:
 def parse_ring(obj, where="ring") -> SuperRing:
     even = _get(obj, "even", list, where)
     odd = _get(obj, "odd", list, where)
-    _expect(all(isinstance(v, str) for v in even + odd), f"{where}: variable names must be strings")
+    if not all(isinstance(v, str) for v in even + odd):
+        raise SchemaError(f"{where}: variable names must be strings")
     try:
         return SuperRing(even, odd)
     except ValueError as exc:
@@ -103,11 +178,12 @@ def encode_element(element: SuperElement) -> Dict:
 
 
 def parse_element(obj, ring: SuperRing = None, where="element") -> SuperElement:
-    embedded = parse_ring(_get(obj, "ring", dict, where), f"{where}.ring")
+    embedded = _get(obj, "ring", dict, where)
     if ring is None:
-        ring = embedded
-    else:
-        _expect(embedded == ring, f"{where}: embedded ring differs from the expected ring")
+        ring = parse_ring(embedded, f"{where}.ring")
+    elif embedded != encode_ring(ring) and parse_ring(embedded, f"{where}.ring") != ring:
+        # the written form of the ring is the ring; anything else is read first
+        raise SchemaError(f"{where}: embedded ring differs from the expected ring")
     raw = _get(obj, "terms", list, where)
     terms = {}
     for k, item in enumerate(raw):
@@ -115,10 +191,13 @@ def parse_element(obj, ring: SuperRing = None, where="element") -> SuperElement:
         coeff = parse_coeff(_get(item, "coeff", (dict, str), spot), f"{spot}.coeff")
         exp = _get(item, "exp", list, spot)
         odd = _get(item, "odd", list, spot)
-        _expect(all(_is_int(e) for e in exp), f"{spot}.exp: must be integers")
-        _expect(all(_is_int(i) for i in odd), f"{spot}.odd: must be integers")
+        if not all(_is_int(e) for e in exp):
+            raise SchemaError(f"{spot}.exp: must be integers")
+        if not all(_is_int(i) for i in odd):
+            raise SchemaError(f"{spot}.odd: must be integers")
         key = (tuple(exp), tuple(odd))
-        _expect(key not in terms, f"{spot}: duplicate monomial")
+        if key in terms:
+            raise SchemaError(f"{spot}: duplicate monomial")
         terms[key] = coeff
     try:
         return ring.element(terms)
@@ -140,17 +219,16 @@ def parse_matrix(obj, ring: SuperRing = None, where="matrix") -> SuperMatrix:
     shape_obj = _get(obj, "shape", dict, where)
     rows = _get(shape_obj, "rows", list, f"{where}.shape")
     cols = _get(shape_obj, "cols", list, f"{where}.shape")
-    _expect(
-        len(rows) == 2 and len(cols) == 2 and all(_is_int(k) and k >= 0 for k in rows + cols),
-        f"{where}.shape: rows and cols must be pairs of nonnegative integers",
-    )
+    if not (len(rows) == 2 and len(cols) == 2 and all(_is_int(k) and k >= 0 for k in rows + cols)):
+        raise SchemaError(f"{where}.shape: rows and cols must be pairs of nonnegative integers")
     shape = SuperShape((rows[0], rows[1]), (cols[0], cols[1]))
     raw = _get(obj, "entries", list, where)
-    _expect(len(raw) == shape.n_rows, f"{where}: expected {shape.n_rows} entry rows, got {len(raw)}")
+    if len(raw) != shape.n_rows:
+        raise SchemaError(f"{where}: expected {shape.n_rows} entry rows, got {len(raw)}")
     entries: List[List[SuperElement]] = []
     for i, raw_row in enumerate(raw):
-        _expect(isinstance(raw_row, list) and len(raw_row) == shape.n_cols,
-                f"{where}.entries[{i}]: expected {shape.n_cols} entries")
+        if not (isinstance(raw_row, list) and len(raw_row) == shape.n_cols):
+            raise SchemaError(f"{where}.entries[{i}]: expected {shape.n_cols} entries")
         row = []
         for j, cell in enumerate(raw_row):
             element = parse_element(cell, ring, f"{where}.entries[{i}][{j}]")
@@ -272,7 +350,7 @@ def encode_rational_point(pt: RationalPoint) -> Dict:
     values = {}
     for name in sorted(pt.values):
         value = pt.values[name]
-        values[name] = rational_str(value.re) if value.im == 0 else encode_coeff(value)
+        values[name] = ratio_str(value.re_num, value.den) if not value.im_num else encode_coeff(value)
     return {"values": values}
 
 
@@ -280,6 +358,7 @@ def parse_rational_point(obj, where="point") -> RationalPoint:
     raw = _get(obj, "values", dict, where)
     values = {}
     for name, item in raw.items():
-        _expect(isinstance(name, str), f"{where}.values: variable names must be strings")
+        if not isinstance(name, str):
+            raise SchemaError(f"{where}.values: variable names must be strings")
         values[name] = parse_coeff(item, f"{where}.values[{name}]")
     return RationalPoint(values)

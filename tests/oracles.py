@@ -4,18 +4,22 @@ Each one is the implementation the library used before a faster or simpler
 routine took its place; the tests compare the two on the same inputs.
 """
 
+import json
 from itertools import combinations
 
 from sgq import (
+    GaussianRational,
     NCoordinates,
     NotInBigCell,
     NotInvertible,
+    SchemaError,
     SuperMatrix,
     block_matrix,
     inv_even,
     is_invertible,
     split_blocks,
 )
+from sgq.serialize import _fraction_from_str, _is_int, parse_ring
 
 
 def subset_dp_det(matrix):
@@ -176,3 +180,57 @@ def bracket_normal_form(g, bp):
         [b[(4, 1)], b[(4, 2)], b[(4, 3)], b[(4, 4)]],
     ])
     return coords, p
+
+
+def json_canonical_dumps(doc):
+    """The canonical document text as the standard library writes it."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _expect(condition, message):
+    if not condition:
+        raise SchemaError(message)
+
+
+def _get(obj, key, kind, where):
+    _expect(isinstance(obj, dict), f"{where}: expected an object")
+    _expect(key in obj, f"{where}: missing key {key!r}")
+    value = obj[key]
+    _expect(isinstance(value, kind) and not isinstance(value, bool),
+            f"{where}.{key}: wrong type {type(value).__name__}")
+    return value
+
+
+def fraction_parse_coeff(obj, where="coeff"):
+    """A coefficient document read through Fraction, whatever its form."""
+    if isinstance(obj, str):
+        return GaussianRational(_fraction_from_str(obj, where))
+    re = _get(obj, "re", str, where)
+    im = _get(obj, "im", str, where)
+    return GaussianRational(_fraction_from_str(re, where), _fraction_from_str(im, where))
+
+
+def fraction_parse_element(obj, ring=None, where="element"):
+    """An element document read with every coefficient through Fraction and
+    the embedded ring always parsed before it is compared."""
+    embedded = parse_ring(_get(obj, "ring", dict, where), f"{where}.ring")
+    if ring is None:
+        ring = embedded
+    else:
+        _expect(embedded == ring, f"{where}: embedded ring differs from the expected ring")
+    raw = _get(obj, "terms", list, where)
+    terms = {}
+    for k, item in enumerate(raw):
+        spot = f"{where}.terms[{k}]"
+        coeff = fraction_parse_coeff(_get(item, "coeff", (dict, str), spot), f"{spot}.coeff")
+        exp = _get(item, "exp", list, spot)
+        odd = _get(item, "odd", list, spot)
+        _expect(all(_is_int(e) for e in exp), f"{spot}.exp: must be integers")
+        _expect(all(_is_int(i) for i in odd), f"{spot}.odd: must be integers")
+        key = (tuple(exp), tuple(odd))
+        _expect(key not in terms, f"{spot}: duplicate monomial")
+        terms[key] = coeff
+    try:
+        return ring.element(terms)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None

@@ -138,6 +138,32 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, reason", [
+    (b"\xff\xfe{", "is not UTF-8 text"),
+    (b"[" * 100000, "too deeply"),
+    (b"1" * 5000, "too long to read"),
+])
+def test_unreadable_json_exit_code(tmp_path, capsys, data, reason):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    assert run_cli("ber", "--in", str(path)) == 2
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err and len(err) < 400
+
+
+def test_cached_parser_gives_fresh_bytes(small_matrix_doc, tmp_path):
+    argv = ["factor", "--in", str(small_matrix_doc), "--profile", "1,1,1,0", "--out"]
+    first, second, third = (tmp_path / f"{k}.json" for k in range(3))
+    assert run_cli(*argv, str(first)) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("nope")
+    assert exit_info.value.code == 2
+    assert run_cli(*argv, str(second)) == 0
+    assert run_cli(*argv, str(third)) == 0
+    fresh = subprocess.run([sys.executable, "-m", "sgq", *argv[:-1]], capture_output=True, check=True)
+    assert first.read_bytes() == second.read_bytes() == third.read_bytes() == fresh.stdout
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert run_cli("ber", "--in", str(tmp_path / "absent.json")) == 2
     assert "cannot read" in capsys.readouterr().err

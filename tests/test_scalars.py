@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sgq import GaussianRational
+from sgq.scalars import from_ratios, ratio_str
 
 _ZERO = Fraction(0)
 
@@ -188,6 +189,20 @@ def test_equal_values_have_equal_triples(x):
     rebuilt = (new + 1) * 3 / 3 - 1
     assert rebuilt == new
     assert (rebuilt.re_num, rebuilt.im_num, rebuilt.den) == (new.re_num, new.im_num, new.den)
+
+
+_BIG = st.integers(-10 ** 30, 10 ** 30)
+_DEN = st.integers(1, 10 ** 30)
+
+
+@given(_BIG, _DEN, _BIG, _DEN)
+def test_from_ratios_and_ratio_str_match_fraction(a, d1, b, d2):
+    value = from_ratios(a, d1, b, d2)
+    reference = GaussianRational(Fraction(a, d1), Fraction(b, d2))
+    assert_canonical(value)
+    assert (value.re_num, value.im_num, value.den) == (reference.re_num, reference.im_num, reference.den)
+    assert ratio_str(value.re_num, value.den) == str(Fraction(a, d1))
+    assert ratio_str(value.im_num, value.den) == str(Fraction(b, d2))
 
 
 def test_zero_is_one_triple():

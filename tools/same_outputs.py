@@ -14,9 +14,12 @@ including inputs that end in `NotInBigCell`, `NotInvertible`, `NotAPoint`,
 with empty blocks (r = 0, s = 0, r = m, s = n, n = 0), so the right division
 by the corner meets empty even or odd parts.  The `minv` and `ber` inputs also
 cover the row swaps and the stall of the even-block elimination, and, over a
-ring with an even generator, a stall whose determinant is still a unit.  Each
-`cli_*.txt` file holds the exit status, stderr and output document of one
-invocation.
+ring with an even generator, a stall whose determinant is still a unit.
+Further `ber` runs read coefficients outside the written form (signs,
+spaces, decimals, underscores, leading zeros, non-ASCII digits, zero and
+negative denominators, 5,000 digits) and embedded rings that differ from the
+written one.  Each `cli_*.txt` file holds the exit status, stderr and output
+document of one invocation.
 """
 
 import contextlib
@@ -161,6 +164,26 @@ def stall_commands():
         cli(f"ber_poly_{kind}", "ber", "--in", path)
 
 
+def coefficient_commands():
+    empty = {"even": [], "odd": []}
+
+    def cell(coeff, ring=empty):
+        return {"ring": ring, "terms": [{"coeff": coeff, "exp": [], "odd": []}]}
+
+    def ber(tag, *rows):
+        doc = {"shape": {"rows": [len(rows), 0], "cols": [len(rows), 0]}, "entries": list(rows)}
+        cli(f"ber_{tag}", "ber", "--in", write_input(f"{tag}.json", doc))
+
+    coeffs = ["+1", " 2 ", "0.5", "1_000", "2/4", "-0", "007", "\u0661", "1/0", "1/-2", "7" * 5000,
+              {"re": "1/3", "im": "-2/4"}]
+    for k, coeff in enumerate(coeffs):
+        ber(f"coeff_{k}", [cell(coeff)])
+    # after the first cell the ring is known: a ring object that is not its
+    # written form is read and compared
+    ber("ring_extra_key", [cell("1"), cell("2", {**empty, "note": "x"})], [cell("0"), cell("3")])
+    ber("ring_differs", [cell("1"), cell("2", {"even": [], "odd": ["t"]})], [cell("0"), cell("3")])
+
+
 def smooth_commands():
     def smooth(tag, pres, values):
         cli(f"smooth_{tag}", "smooth",
@@ -194,5 +217,6 @@ if __name__ == "__main__":
     coset_commands()
     superlinalg_commands()
     stall_commands()
+    coefficient_commands()
     smooth_commands()
     print(len(os.listdir(OUT)) - 1, "documents in", OUT)
