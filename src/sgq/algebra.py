@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from operator import add
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import NotInvertible, ParityViolation, RingMismatch, UnknownVariable
-from .scalars import GaussianRational
+from .scalars import GaussianRational, from_triple
 
 # (exponent vector, odd mask): bit i of the mask is the odd generator t_{i+1}
 TermKey = Tuple[Tuple[int, ...], int]
@@ -57,23 +58,47 @@ def sign_mask(mask: int) -> int:
 def accumulate_product(dest: Dict[TermKey, GaussianRational],
                        left: Mapping[TermKey, GaussianRational],
                        right: Mapping[TermKey, GaussianRational]) -> None:
-    """Add the term-map product left * right into dest, dropping zeros."""
+    """Add the term-map product left * right into dest, dropping zeros.
+
+    Each term pair works on the coefficients' integer triples: the product
+    and its Koszul sign, then the sum with the coefficient already held at
+    its key, then one gcd and one new coefficient (none if the sum is zero).
+    The right triples are read per pair: a list of them built per call costs
+    more than it saves on the many one- and two-term products.
+    """
     right_items = right.items()
     for (exp1, mask1), c1 in left.items():
         signs = sign_mask(mask1)
+        a1, b1, d1 = c1.re_num, c1.im_num, c1.den
         for (exp2, mask2), c2 in right_items:
             if mask1 & mask2:
                 continue
-            coeff = c1 * c2
+            a2, b2 = c2.re_num, c2.im_num
+            if b1 or b2:
+                a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            else:
+                a, b = a1 * a2, 0
+            d = d1 * c2.den
             if (signs & mask2).bit_count() & 1:
-                coeff = -coeff
+                a, b = -a, -b
             key = (tuple(map(add, exp1, exp2)) if exp1 else exp2, mask1 | mask2)
             acc = dest.get(key)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                dest[key] = total
-            elif acc is not None:
-                del dest[key]
+            if acc is not None:
+                d0 = acc.den
+                if d0 == d:
+                    a, b = a + acc.re_num, b + acc.im_num
+                else:
+                    a, b, d = a * d0 + acc.re_num * d, b * d0 + acc.im_num * d, d * d0
+                if not (a or b):
+                    del dest[key]
+                    continue
+            elif not (a or b):
+                continue
+            if d != 1:
+                g = gcd(a, b, d)
+                if g != 1:
+                    a, b, d = a // g, b // g, d // g
+            dest[key] = from_triple(a, b, d)
 
 
 @dataclass(frozen=True, slots=True, repr=False)

@@ -67,14 +67,22 @@ def _check_square(g: SuperMatrix, bp: BlockProfile) -> None:
         raise ShapeMismatch(f"matrix shape {g.shape} does not match profile {bp}")
 
 
+def _block(g: SuperMatrix, bp: BlockProfile, i: int, j: int) -> SuperMatrix:
+    """Block (i, j) of a matrix already checked against the profile."""
+    return g.select(bp.block_range(i), bp.block_range(j))
+
+
+def _inner_and_corner(bp: BlockProfile):
+    """The global indices of blocks 2 and 3, and of blocks 1 and 4."""
+    inner = list(bp.block_range(2)) + list(bp.block_range(3))
+    corner = list(bp.block_range(1)) + list(bp.block_range(4))
+    return inner, corner
+
+
 def split_blocks(g: SuperMatrix, bp: BlockProfile) -> Dict[Tuple[int, int], SuperMatrix]:
     """The sixteen blocks of g under the profile's four-way split."""
     _check_square(g, bp)
-    return {
-        (i, j): g.select(list(bp.block_range(i)), list(bp.block_range(j)))
-        for i in range(1, 5)
-        for j in range(1, 5)
-    }
+    return {(i, j): _block(g, bp, i, j) for i in range(1, 5) for j in range(1, 5)}
 
 
 # the free blocks of N, by field name, at their (row block, column block)
@@ -133,24 +141,25 @@ def assemble(coords: NCoordinates) -> SuperMatrix:
 
 def n_coordinates_of(g: SuperMatrix, bp: BlockProfile) -> NCoordinates:
     """Read the four free N-position blocks off any profile-shaped matrix."""
-    b = split_blocks(g, bp)
-    return NCoordinates(bp, b[(2, 1)], b[(2, 4)], b[(3, 1)], b[(3, 4)])
+    _check_square(g, bp)
+    return NCoordinates(bp, *(_block(g, bp, i, j) for i, j in _FREE_BLOCKS.values()))
 
 
 def standard_parabolic_member(g: SuperMatrix, bp: BlockProfile) -> bool:
     """True iff g stabilizes the standard subspace: four zero blocks."""
-    b = split_blocks(g, bp)
-    return all(b[pos].is_zero() for pos in ((2, 1), (3, 1), (2, 4), (3, 4)))
+    _check_square(g, bp)
+    inner, corner = _inner_and_corner(bp)
+    return g.select(inner, corner).is_zero()
 
 
 def n_member(g: SuperMatrix, bp: BlockProfile) -> bool:
     """Identity diagonal blocks, free N-position blocks, zero elsewhere."""
-    b = split_blocks(g, bp)
+    _check_square(g, bp)
     for k in range(1, 5):
-        if b[(k, k)] != SuperMatrix.identity(g.ring, *bp.block_shape(k, k).rows):
+        if _block(g, bp, k, k) != SuperMatrix.identity(g.ring, *bp.block_shape(k, k).rows):
             return False
     fixed_zero = ((1, 2), (1, 3), (1, 4), (2, 3), (3, 2), (4, 1), (4, 2), (4, 3))
-    return all(b[pos].is_zero() for pos in fixed_zero)
+    return all(_block(g, bp, i, j).is_zero() for i, j in fixed_zero)
 
 
 def in_big_cell(g: SuperMatrix, bp: BlockProfile) -> bool:
@@ -189,8 +198,7 @@ def normal_form(g: SuperMatrix, bp: BlockProfile) -> Tuple[NCoordinates, SuperMa
     and 4.
     """
     _check_square(g, bp)
-    corner = list(bp.block_range(1)) + list(bp.block_range(4))
-    inner = list(bp.block_range(2)) + list(bp.block_range(3))
+    inner, corner = _inner_and_corner(bp)
     try:
         norm = right_divide(g.select(inner, corner), g.select(corner, corner))
     except NotInvertible:
@@ -207,7 +215,11 @@ def normal_form(g: SuperMatrix, bp: BlockProfile) -> Tuple[NCoordinates, SuperMa
 
 
 def cosets_equal(g1: SuperMatrix, g2: SuperMatrix, bp: BlockProfile) -> bool:
-    """Whether g1 and g2 represent the same left coset of the parabolic."""
+    """Whether g1 and g2 represent the same left coset of the parabolic:
+    whether g1^-1 g2 vanishes on row blocks 2 and 3 of column blocks 1 and
+    4, the only entries that are multiplied out."""
     _check_square(g1, bp)
     _check_square(g2, bp)
-    return standard_parabolic_member(g1.inv() * g2, bp)
+    inner, corner = _inner_and_corner(bp)
+    every = range(bp.m + bp.n)
+    return (g1.inv().select(inner, every) * g2.select(every, corner)).is_zero()

@@ -80,19 +80,19 @@ class GaussianRational:
         if d1 == d2:
             a, b = self.re_num + other.re_num, self.im_num + other.im_num
             if d1 == 1:
-                return _make(a, b, 1)
+                return from_triple(a, b, 1)
             d = d1
         else:
             a = self.re_num * d2 + other.re_num * d1
             b = self.im_num * d2 + other.im_num * d1
             d = d1 * d2
         g = gcd(a, b, d)
-        return _make(a // g, b // g, d // g)
+        return from_triple(a // g, b // g, d // g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.re_num, -self.im_num, self.den)
+        return from_triple(-self.re_num, -self.im_num, self.den)
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
@@ -101,14 +101,14 @@ class GaussianRational:
         if d1 == d2:
             a, b = self.re_num - other.re_num, self.im_num - other.im_num
             if d1 == 1:
-                return _make(a, b, 1)
+                return from_triple(a, b, 1)
             d = d1
         else:
             a = self.re_num * d2 - other.re_num * d1
             b = self.im_num * d2 - other.im_num * d1
             d = d1 * d2
         g = gcd(a, b, d)
-        return _make(a // g, b // g, d // g)
+        return from_triple(a // g, b // g, d // g)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) + (-self)
@@ -123,9 +123,9 @@ class GaussianRational:
         else:
             a, b = a1 * a2, 0
         if d == 1:
-            return _make(a, b, 1)
+            return from_triple(a, b, 1)
         g = gcd(a, b, d)
-        return _make(a // g, b // g, d // g)
+        return from_triple(a // g, b // g, d // g)
 
     __rmul__ = __mul__
 
@@ -137,7 +137,7 @@ class GaussianRational:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         a, b = d * a, -d * b
         g = gcd(a, b, norm)
-        return _make(a // g, b // g, norm // g)
+        return from_triple(a // g, b // g, norm // g)
 
     def __truediv__(self, other):
         return self * GaussianRational.coerce(other).inverse()
@@ -187,10 +187,10 @@ _set_den = GaussianRational.den.__set__
 def from_ratios(a: int, d1: int, b: int = 0, d2: int = 1) -> GaussianRational:
     """The value a/d1 + (b/d2)*i from integers, for d1, d2 > 0: the
     constructor's normalization without building a Fraction."""
-    return _make(*_canonical_triple(a, d1, b, d2))
+    return from_triple(*_canonical_triple(a, d1, b, d2))
 
 
-def _make(a: int, b: int, d: int) -> GaussianRational:
+def from_triple(a: int, b: int, d: int) -> GaussianRational:
     """The value (a + b*i)/d from a triple already in canonical form."""
     obj = object.__new__(GaussianRational)
     _set_re(obj, a)

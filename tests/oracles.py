@@ -6,6 +6,7 @@ routine took its place; the tests compare the two on the same inputs.
 
 import json
 from itertools import combinations
+from operator import add
 
 from sgq import (
     GaussianRational,
@@ -18,7 +19,10 @@ from sgq import (
     inv_even,
     is_invertible,
     split_blocks,
+    standard_parabolic_member,
 )
+from sgq.algebra import sign_mask
+from sgq.flag import _check_square
 from sgq.serialize import _fraction_from_str, _is_int, parse_ring
 
 
@@ -130,6 +134,28 @@ def tuple_accumulate_product(dest, left, right):
                 del dest[key]
 
 
+def operator_accumulate_product(dest, left, right):
+    """Add the term-map product left * right into dest, dropping zeros, with
+    the GaussianRational operators: a product, a negation for an odd Koszul
+    sign and a sum per term pair."""
+    right_items = right.items()
+    for (exp1, mask1), c1 in left.items():
+        signs = sign_mask(mask1)
+        for (exp2, mask2), c2 in right_items:
+            if mask1 & mask2:
+                continue
+            coeff = c1 * c2
+            if (signs & mask2).bit_count() & 1:
+                coeff = -coeff
+            key = (tuple(map(add, exp1, exp2)) if exp1 else exp2, mask1 | mask2)
+            acc = dest.get(key)
+            total = coeff if acc is None else acc + coeff
+            if total:
+                dest[key] = total
+            elif acc is not None:
+                del dest[key]
+
+
 def first_valid_choice_product(span, bp):
     """First (r even rows, s odd rows) choice whose row submatrix has
     invertible body, searching all pairs in lexicographic order."""
@@ -180,6 +206,13 @@ def bracket_normal_form(g, bp):
         [b[(4, 1)], b[(4, 2)], b[(4, 3)], b[(4, 4)]],
     ])
     return coords, p
+
+
+def product_cosets_equal(g1, g2, bp):
+    """Whether g1 and g2 share a coset, from every block of g1^-1 g2."""
+    _check_square(g1, bp)
+    _check_square(g2, bp)
+    return standard_parabolic_member(g1.inv() * g2, bp)
 
 
 def json_canonical_dumps(doc):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,8 +16,9 @@ from sgq import (
 from sgq import algebra
 from sgq.algebra import accumulate_product, sign_mask
 from sgq.sampling import random_element, trial_rng
+from sgq.scalars import from_ratios
 
-from oracles import tuple_accumulate_product
+from oracles import operator_accumulate_product, tuple_accumulate_product
 
 LAW_RING = SuperRing([], ["a", "b", "c"])
 MIXED = SuperRing(["x"], ["th1", "th2"])
@@ -397,3 +399,48 @@ def test_bitmask_product_matches_tuple_oracle(maps):
     dest = _to_masks(start)
     accumulate_product(dest, _to_masks(left), _to_masks(right))
     assert dest == _to_masks(expected)
+
+
+# past the 4,300 digits at which str() of an int stops
+HUGE = 10**4301 + 7
+
+
+def kernel_coeffs():
+    """Gaussian rationals whose two parts have their own denominators, with
+    numerators and denominators small or huge; each part is often zero, so
+    zero coefficients reach the kernel too."""
+    nums = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-4, 4).map(lambda k: k * HUGE + 1))
+    dens = st.sampled_from([1, 2, 3, 4, 6, HUGE])
+    return st.builds(from_ratios, nums, dens, nums, dens)
+
+
+@st.composite
+def kernel_maps(draw):
+    """dest, left and right over one ring shape, and the keys of dest that
+    were set to minus the product's coefficient, so that they cancel.  The
+    factors may hold zero coefficients; dest, a term map, holds none."""
+    n_even = draw(st.integers(0, 2))
+    q = draw(st.integers(0, 6))
+    keys = st.tuples(st.tuples(*[st.integers(0, 2)] * n_even), st.integers(0, (1 << q) - 1))
+    term_map = st.dictionaries(keys, kernel_coeffs(), max_size=5)
+    dest = {key: c for key, c in draw(term_map).items() if c}
+    factor = st.dictionaries(keys, kernel_coeffs(), min_size=1, max_size=5)
+    left, right = draw(factor), draw(factor)
+    product = {}
+    operator_accumulate_product(product, left, right)
+    cancelled = [key for key in sorted(product) if draw(st.booleans())]
+    for key in cancelled:
+        dest[key] = -product[key]
+    return dest, left, right, cancelled
+
+
+@given(kernel_maps())
+def test_fused_product_matches_operator_oracle(maps):
+    dest, left, right, cancelled = maps
+    expected = dict(dest)
+    operator_accumulate_product(expected, left, right)
+    accumulate_product(dest, left, right)
+    assert dest == expected
+    assert not set(cancelled) & set(dest)
+    for c in dest.values():
+        assert c.den > 0 and gcd(c.re_num, c.im_num, c.den) == 1 and c

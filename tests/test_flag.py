@@ -20,7 +20,7 @@ from sgq import (
 )
 from sgq.sampling import random_big_cell, random_ncoords, random_parabolic, trial_rng
 
-from oracles import bracket_normal_form
+from oracles import bracket_normal_form, product_cosets_equal
 
 BP_SMALL = BlockProfile(1, 1, 1, 0)
 BP_FULL = BlockProfile(2, 2, 1, 1)
@@ -228,6 +228,30 @@ def test_normal_form_errors_match_bracket_oracle(grassmann4, profile):
         outcome = _solve(normal_form, matrix, bp)
         assert outcome == _solve(bracket_normal_form, matrix, bp)
         assert outcome[0] in (NotInBigCell, NotInvertible)
+
+
+def _coset_test(test, g1, g2, bp):
+    """The verdict, or the type and message of the error it ends in."""
+    try:
+        return test(g1, g2, bp)
+    except (ShapeMismatch, NotInvertible) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("profile", ORACLE_PROFILES)
+def test_cosets_equal_matches_full_product_oracle(grassmann4, profile):
+    bp = BlockProfile(*profile)
+    rng = trial_rng(1, "coset_oracle", sum(profile))
+    g = random_big_cell(grassmann4, bp, rng)
+    other = random_big_cell(grassmann4, bp, rng)
+    same = g * random_parabolic(grassmann4, bp, rng)
+    singular = SuperMatrix.zeros(grassmann4, bp.square_shape)
+    wrong = SuperMatrix.identity(grassmann4, bp.m + 1, bp.n)
+    pairs = [(g, same), (g, other), (singular, g), (g, wrong), (wrong, g), (singular, wrong)]
+    outcomes = [_coset_test(cosets_equal, g1, g2, bp) for g1, g2 in pairs]
+    assert outcomes == [_coset_test(product_cosets_equal, g1, g2, bp) for g1, g2 in pairs]
+    assert outcomes[0] is True
+    assert [o[0] for o in outcomes[2:]] == [NotInvertible, ShapeMismatch, ShapeMismatch, ShapeMismatch]
 
 
 def test_cosets_distinct_normal_forms(grassmann4):

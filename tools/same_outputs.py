@@ -7,23 +7,27 @@ checkout's `src/` and `bench/` first on the import path at start-up.
 
 Run it once on each of two checkouts, then compare with `diff -r -x _work`.
 It covers `run_suite("all", 3, seed)` for seeds 0-3 at the default size and
-at (3, 2 | 2, 1), q = 5, and the `factor`, `orbit`, `chart-down`, `minv`,
-`ber` and `smooth` commands on inputs from the checkout's `bench/inputs.py`,
-including inputs that end in `NotInBigCell`, `NotInvertible`, `NotAPoint`,
-`UnassignedVariable` and schema errors.  The coset profiles include ones
-with empty blocks (r = 0, s = 0, r = m, s = n, n = 0), so the right division
-by the corner meets empty even or odd parts.  The `minv` and `ber` inputs also
-cover the row swaps and the stall of the even-block elimination, and, over a
-ring with an even generator, a stall whose determinant is still a unit.
-Further `ber` runs read coefficients outside the written form (signs,
-spaces, decimals, underscores, leading zeros, non-ASCII digits, zero and
-negative denominators, 5,000 digits) and embedded rings that differ from the
-written one.  Each `cli_*.txt` file holds the exit status, stderr and output
-document of one invocation.
+at (3, 2 | 2, 1), q = 5, and the `factor`, `orbit`, `chart-down`,
+`coset-eq`, `minv`, `ber` and `smooth` commands on inputs from the
+checkout's `bench/inputs.py`, including inputs that end in `NotInBigCell`,
+`NotInvertible`, `NotAPoint`, `UnassignedVariable`, `ShapeMismatch` and
+schema errors.  The coset profiles include ones with empty blocks (r = 0,
+s = 0, r = m, s = n, n = 0), so the right division by the corner meets
+empty even or odd parts.  The `coset-eq` runs compare g with g*p, with
+another coset, with a singular g1 and with matrices of the wrong shape.
+The `minv` and `ber` inputs also cover the row swaps and the stall of the
+even-block elimination, over a ring with an even generator a stall whose
+determinant is still a unit, and a (2|2) matrix whose Gaussian coefficients
+have distinct denominators.  Further `ber` runs read coefficients outside
+the written form (signs, spaces, decimals, underscores, leading zeros,
+non-ASCII digits, zero and negative denominators, 5,000 digits) and
+embedded rings that differ from the written one.  Each `cli_*.txt` file
+holds the exit status, stderr and output document of one invocation.
 """
 
 import contextlib
 import io
+from fractions import Fraction
 import json
 import os
 import sys
@@ -32,7 +36,9 @@ ROOT, OUT = sys.argv[1], sys.argv[2]
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import inputs  # noqa: E402
-from sgq import Presentation, RationalPoint, SuperMatrix, SuperRing, SuperShape, run_suite, serialize  # noqa: E402
+from sgq import (  # noqa: E402
+    GaussianRational, Presentation, RationalPoint, SuperMatrix, SuperRing, SuperShape, run_suite, serialize,
+)
 from sgq.cli import main  # noqa: E402
 
 WORK = os.path.join(OUT, "_work")
@@ -116,6 +122,46 @@ def coset_commands():
     g = SuperMatrix(ring, SuperShape((2, 0), (2, 0)), [[one, one], [one, one]])
     cli("factor_2,0,1,0_singular", "factor", "--in", write_input("g2010.json", serialize.encode_matrix(g)),
         "--profile", "2,0,1,0")
+
+
+def coset_eq_commands():
+    for profile in ((2, 2, 1, 1), (3, 2, 2, 1), (2, 2, 0, 1)):
+        m, n, r, s = profile
+        prof = ",".join(map(str, profile))
+        g, _, _ = inputs.coset_input(SEED, 0, profile, 3, 3)
+        other, _, p = inputs.coset_input(SEED, 1, profile, 3, 3)
+        wider, _, _ = inputs.coset_input(SEED, 0, (m + 1, n, r, s), 3, 3)
+        pairs = {"same": (g, g * p), "different": (g, other), "shape_g1": (wider, g), "shape_g2": (g, wider)}
+        if 0 < r < m:
+            # the first row of block 2 repeats row 0 on the even columns
+            pairs["singular"] = (edited(g, {(r, j): lambda e, rows, j=j: rows[0][j] for j in range(m)}), g)
+        for kind, (g1, g2) in pairs.items():
+            tag = f"{prof}_{kind}"
+            path1 = write_input(f"coset_eq_{tag}.g1.json", serialize.encode_matrix(g1))
+            path2 = write_input(f"coset_eq_{tag}.g2.json", serialize.encode_matrix(g2))
+            cli(f"coset-eq_{tag}", "coset-eq", "--in", path1, "--in2", path2, "--profile", prof)
+
+
+def gaussian_commands():
+    # every coefficient has its own denominators on both parts, so the
+    # products' sums meet unequal denominators
+    ring = SuperRing([], ["t1", "t2", "t3"])
+    monomials = {0: [(), (0, 1), (0, 2), (1, 2)], 1: [(0,), (1,), (2,), (0, 1, 2)]}
+    shape = SuperShape((2, 2), (2, 2))
+    rows = []
+    for i in range(4):
+        row = []
+        for j in range(4):
+            parity = (shape.row_parity(i) + shape.col_parity(j)) % 2
+            terms = {}
+            for k, odd in enumerate(monomials[parity]):
+                c = 4 * i + j + 5 * k + 1
+                terms[((), odd)] = GaussianRational(Fraction(c if i == j else 1, c + 1), Fraction(k - 2, 2 * c + 1))
+            row.append(ring.element(terms))
+        rows.append(row)
+    path = write_input("gaussian.x.json", serialize.encode_matrix(SuperMatrix(ring, shape, rows)))
+    cli("minv_gaussian", "minv", "--in", path)
+    cli("ber_gaussian", "ber", "--in", path)
 
 
 def superlinalg_commands():
@@ -215,7 +261,9 @@ if __name__ == "__main__":
     os.makedirs(WORK, exist_ok=True)
     proptest_reports()
     coset_commands()
+    coset_eq_commands()
     superlinalg_commands()
+    gaussian_commands()
     stall_commands()
     coefficient_commands()
     smooth_commands()
