@@ -9,10 +9,14 @@ pass: they are the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
 plus a newline, which the standard library would produce through its
 pure-Python encoder.
 
-On input, a coefficient in the written form goes straight to integers; any
-other string is read by `Fraction`'s grammar, except exponent notation, and
-normalized.  Every parser raises `SchemaError` with the locus of the first
-check that fails.
+On input, each document is read in one walk that checks it and builds the
+value.  A coefficient in the written form goes straight to an integer
+triple; any other string is read by `Fraction`'s grammar, except exponent
+notation, and normalized.  Every parser raises `SchemaError` with the locus
+of the first check that fails, in document order, but for two kinds of
+fault that wait: an exponent vector or odd index list that does not fit the
+ring is reported once its element has passed its schema checks, and an
+entry of the wrong parity once the whole matrix has been read.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional
 
-from .algebra import SuperElement, SuperRing
-from .errors import ParityPatternViolation, RingMismatch, SchemaError, ShapeMismatch
+from .algebra import SuperElement, SuperRing, TermKey
+from .errors import SchemaError, ShapeMismatch
 from .flag import BlockProfile, NCoordinates
 from .grassmannian import GrassmannianPoint
 from .matrix import SuperMatrix, SuperShape
-from .scalars import GaussianRational, from_ratios, ratio_str
+from .scalars import GaussianRational, from_ratios, from_triple, ratio_str
 from .smoothness import Presentation, RationalPoint
 
 
@@ -89,43 +93,70 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _get(obj, key, kind, where):
+class _Fault(Exception):
+    """A schema fault at `path`, a locus relative to the value being read.
+
+    The readers below raise it.  A reader that calls a reader for a part of
+    its value (a matrix cell, a term, a block) puts the part's place in front
+    of the path as the fault passes, and `_parse` puts the caller's locus in
+    front of that.  So a locus is formatted only when a check fails.
+    """
+
+    def __init__(self, path: str, text: str):
+        super().__init__(path, text)
+        self.path = path
+        self.text = text
+
+    def under(self, prefix: str) -> "_Fault":
+        self.path = prefix + self.path
+        return self
+
+
+def _parse(where: str, read, obj, *args):
+    """read(obj, *args), with a fault raised as SchemaError at `where`."""
+    try:
+        return read(obj, *args)
+    except _Fault as fault:
+        raise SchemaError(f"{where}{fault.path}: {fault.text}") from None
+
+
+def _get(obj, key, kind, path=""):
     if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
+        raise _Fault(path, "expected an object")
     if key not in obj:
-        raise SchemaError(f"{where}: missing key {key!r}")
+        raise _Fault(path, f"missing key {key!r}")
     value = obj[key]
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise SchemaError(f"{where}.{key}: wrong type {type(value).__name__}")
+        raise _Fault(f"{path}.{key}", f"wrong type {type(value).__name__}")
     return value
 
 
 # -- scalars -------------------------------------------------------------------
 
 
-def _bad_rational(text: str, where: str, reason: str) -> SchemaError:
+def _bad_rational(text: str, path: str, reason: str) -> _Fault:
     # quote a bounded prefix: the input may hold thousands of digits
     shown = repr(text) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
-    return SchemaError(f"{where}: bad rational {shown}: {textwrap.shorten(reason, 160)}")
+    return _Fault(path, f"bad rational {shown}: {textwrap.shorten(reason, 160)}")
 
 
-def _fraction_from_str(text: str, where: str) -> Fraction:
+def _fraction(text: str, path: str) -> Fraction:
     # Fraction accepts exponent notation, and "1e999999999" would build a
     # billion-digit integer; emitted coefficients never carry an exponent
     if "e" in text or "E" in text:
-        raise _bad_rational(text, where, "exponent notation is not accepted")
+        raise _bad_rational(text, path, "exponent notation is not accepted")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         # Fraction's own message may quote the whole literal; shorten drops it
-        raise _bad_rational(text, where, str(exc)) from None
+        raise _bad_rational(text, path, str(exc)) from None
 
 
 # the form coefficients are written in: ASCII digits, no sign but "-"
 _WRITTEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
 
 
-def _ratio_from_str(text: str, where: str):
+def _ratio(text: str, path: str):
     """(numerator, denominator > 0) of a coefficient string."""
     written = _WRITTEN(text)
     if written is not None:
@@ -136,8 +167,23 @@ def _ratio_from_str(text: str, where: str):
                 return int(num), den
         except ValueError:
             pass  # over the int digit limit: Fraction reports it below
-    value = _fraction_from_str(text, where)
+    value = _fraction(text, path)
     return value.numerator, value.denominator
+
+
+def _read_coeff(obj, path="") -> GaussianRational:
+    if isinstance(obj, str):
+        re_text, im_text = obj, "0"
+    else:
+        # the JSON types go straight through; _get states a fault, or
+        # passes a subclass of str
+        re_text = obj.get("re") if type(obj) is dict else None
+        im_text = obj.get("im") if type(obj) is dict else None
+        if type(re_text) is not str or type(im_text) is not str:
+            re_text, im_text = _get(obj, "re", str, path), _get(obj, "im", str, path)
+    a, d1 = _ratio(re_text, path)
+    b, d2 = (0, 1) if im_text == "0" else _ratio(im_text, path)
+    return from_triple(a, b, 1) if d1 == d2 == 1 else from_ratios(a, d1, b, d2)
 
 
 def encode_coeff(value: GaussianRational) -> Dict[str, str]:
@@ -145,11 +191,7 @@ def encode_coeff(value: GaussianRational) -> Dict[str, str]:
 
 
 def parse_coeff(obj, where="coeff") -> GaussianRational:
-    if isinstance(obj, str):
-        return from_ratios(*_ratio_from_str(obj, where))
-    re_text = _get(obj, "re", str, where)
-    im_text = _get(obj, "im", str, where)
-    return from_ratios(*_ratio_from_str(re_text, where), *_ratio_from_str(im_text, where))
+    return _parse(where, _read_coeff, obj)
 
 
 # -- rings and elements ----------------------------------------------------------
@@ -159,15 +201,19 @@ def encode_ring(ring: SuperRing) -> Dict:
     return {"even": list(ring.even_vars), "odd": list(ring.odd_vars)}
 
 
-def parse_ring(obj, where="ring") -> SuperRing:
-    even = _get(obj, "even", list, where)
-    odd = _get(obj, "odd", list, where)
+def _read_ring(obj, path="") -> SuperRing:
+    even = _get(obj, "even", list, path)
+    odd = _get(obj, "odd", list, path)
     if not all(isinstance(v, str) for v in even + odd):
-        raise SchemaError(f"{where}: variable names must be strings")
+        raise _Fault(path, "variable names must be strings")
     try:
         return SuperRing(even, odd)
     except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+        raise _Fault(path, str(exc)) from None
+
+
+def parse_ring(obj, where="ring") -> SuperRing:
+    return _parse(where, _read_ring, obj)
 
 
 def encode_element(element: SuperElement) -> Dict:
@@ -177,32 +223,101 @@ def encode_element(element: SuperElement) -> Dict:
     return {"ring": encode_ring(element.ring), "terms": terms}
 
 
-def parse_element(obj, ring: SuperRing = None, where="element") -> SuperElement:
-    embedded = _get(obj, "ring", dict, where)
-    if ring is None:
-        ring = parse_ring(embedded, f"{where}.ring")
-    elif embedded != encode_ring(ring) and parse_ring(embedded, f"{where}.ring") != ring:
-        # the written form of the ring is the ring; anything else is read first
-        raise SchemaError(f"{where}: embedded ring differs from the expected ring")
-    raw = _get(obj, "terms", list, where)
-    terms = {}
+def _read_terms(raw: list, ring: SuperRing):
+    """The term map of an element's "terms" list, read in one walk, and the
+    parities of its nonzero terms (bit p set when one has parity p).
+
+    The odd indices of a term are checked for order and range before any
+    shift builds its mask.  A term whose exponent vector or odd indices do
+    not fit the ring is held, and the first one is raised only once every
+    term has passed its schema checks.
+    """
+    n_even, n_odd = ring.n_even, ring.n_odd
+    terms: Dict[TermKey, GaussianRational] = {}
+    misfits = set()  # the written (exp, odd) keys of the held terms
+    held = None
+    parities = 0
+    zeros = False
     for k, item in enumerate(raw):
-        spot = f"{where}.terms[{k}]"
-        coeff = parse_coeff(_get(item, "coeff", (dict, str), spot), f"{spot}.coeff")
-        exp = _get(item, "exp", list, spot)
-        odd = _get(item, "odd", list, spot)
-        if not all(_is_int(e) for e in exp):
-            raise SchemaError(f"{spot}.exp: must be integers")
-        if not all(_is_int(i) for i in odd):
-            raise SchemaError(f"{spot}.odd: must be integers")
-        key = (tuple(exp), tuple(odd))
-        if key in terms:
-            raise SchemaError(f"{spot}: duplicate monomial")
-        terms[key] = coeff
-    try:
-        return ring.element(terms)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+        try:
+            if not isinstance(item, dict):
+                raise _Fault("", "expected an object")
+            # as in _read_coeff, _get only sees what is not of a JSON type
+            coeff = item.get("coeff")
+            if type(coeff) is not dict and type(coeff) is not str:
+                coeff = _get(item, "coeff", (dict, str))
+            coeff = _read_coeff(coeff, ".coeff")
+            exp = item.get("exp")
+            if type(exp) is not list:
+                exp = _get(item, "exp", list)
+            odd = item.get("odd")
+            if type(odd) is not list:
+                odd = _get(item, "odd", list)
+            fits = len(exp) == n_even
+            for e in exp:
+                if type(e) is not int and not _is_int(e):
+                    raise _Fault(".exp", "must be integers")
+                if e < 0:
+                    fits = False
+            mask, last = 0, -1
+            for i in odd:
+                if type(i) is not int and not _is_int(i):
+                    raise _Fault(".odd", "must be integers")
+                if last < i < n_odd:
+                    mask |= 1 << i
+                    last = i
+                else:
+                    fits = False
+            if fits:
+                key = (tuple(exp), mask)
+                if key in terms:
+                    raise _Fault("", "duplicate monomial")
+                terms[key] = coeff
+                if coeff.re_num or coeff.im_num:
+                    parities |= 1 << (mask.bit_count() & 1)
+                else:
+                    zeros = True
+            else:
+                written = (tuple(exp), tuple(odd))
+                if written in misfits:
+                    raise _Fault("", "duplicate monomial")
+                misfits.add(written)
+                if held is None:
+                    held = written
+        except _Fault as fault:
+            raise fault.under(f".terms[{k}]")
+    if held is not None:
+        exp, odd = held
+        if len(exp) != n_even or any(e < 0 for e in exp):
+            text = f"bad exponent vector {exp} for ring with {n_even} even generators"
+        elif any(odd[k] >= odd[k + 1] for k in range(len(odd) - 1)):
+            text = f"odd index tuple {odd} is not strictly increasing"
+        else:
+            text = f"odd index tuple {odd} out of range for {n_odd} odd generators"
+        raise _Fault("", text)
+    if zeros:
+        terms = {key: coeff for key, coeff in terms.items() if coeff.re_num or coeff.im_num}
+    return terms, parities
+
+
+def _read_element(obj, ring: Optional[SuperRing], form: Optional[Dict]):
+    """(element, the parities of its nonzero terms) from an element document.
+
+    Without a ring the embedded one is read.  With one, the embedded ring
+    must equal it: `form` is its written form, and any other object is read
+    before it is compared.
+    """
+    embedded = _get(obj, "ring", dict)
+    if ring is None:
+        ring = _read_ring(embedded, ".ring")
+    elif embedded != form and _read_ring(embedded, ".ring") != ring:
+        raise _Fault("", "embedded ring differs from the expected ring")
+    terms, parities = _read_terms(_get(obj, "terms", list), ring)
+    return SuperElement(ring, terms), parities
+
+
+def parse_element(obj, ring: SuperRing = None, where="element") -> SuperElement:
+    return _parse(where, _read_element, obj, ring, None if ring is None else encode_ring(ring))[0]
 
 
 # -- matrices ---------------------------------------------------------------------
@@ -215,33 +330,50 @@ def encode_matrix(matrix: SuperMatrix) -> Dict:
     }
 
 
-def parse_matrix(obj, ring: SuperRing = None, where="matrix") -> SuperMatrix:
-    shape_obj = _get(obj, "shape", dict, where)
-    rows = _get(shape_obj, "rows", list, f"{where}.shape")
-    cols = _get(shape_obj, "cols", list, f"{where}.shape")
+def _read_matrix(obj, ring: Optional[SuperRing], form: Optional[Dict]) -> SuperMatrix:
+    """A matrix document read in one walk: each entry's parity is taken from
+    its masks as it is read, and the first misplaced entry is raised only
+    once the whole matrix has passed its other checks."""
+    shape_obj = _get(obj, "shape", dict)
+    rows = _get(shape_obj, "rows", list, ".shape")
+    cols = _get(shape_obj, "cols", list, ".shape")
     if not (len(rows) == 2 and len(cols) == 2 and all(_is_int(k) and k >= 0 for k in rows + cols)):
-        raise SchemaError(f"{where}.shape: rows and cols must be pairs of nonnegative integers")
+        raise _Fault(".shape", "rows and cols must be pairs of nonnegative integers")
     shape = SuperShape((rows[0], rows[1]), (cols[0], cols[1]))
-    raw = _get(obj, "entries", list, where)
-    if len(raw) != shape.n_rows:
-        raise SchemaError(f"{where}: expected {shape.n_rows} entry rows, got {len(raw)}")
+    raw = _get(obj, "entries", list)
+    n_rows, n_cols = shape.n_rows, shape.n_cols
+    if len(raw) != n_rows:
+        raise _Fault("", f"expected {n_rows} entry rows, got {len(raw)}")
     entries: List[List[SuperElement]] = []
+    misplaced = None
     for i, raw_row in enumerate(raw):
-        if not (isinstance(raw_row, list) and len(raw_row) == shape.n_cols):
-            raise SchemaError(f"{where}.entries[{i}]: expected {shape.n_cols} entries")
+        if not (isinstance(raw_row, list) and len(raw_row) == n_cols):
+            raise _Fault(f".entries[{i}]", f"expected {n_cols} entries")
+        row_odd = i >= rows[0]
         row = []
         for j, cell in enumerate(raw_row):
-            element = parse_element(cell, ring, f"{where}.entries[{i}][{j}]")
+            try:
+                element, parities = _read_element(cell, ring, form)
+            except _Fault as fault:
+                raise fault.under(f".entries[{i}][{j}]")
             if ring is None:
-                ring = element.ring
+                ring, form = element.ring, encode_ring(element.ring)
+            # an entry at an even place may hold no odd term, and vice versa
+            forced = row_odd ^ (j >= cols[0])
+            if parities >> (1 - forced) & 1 and misplaced is None:
+                misplaced = (i, j, forced, element)
             row.append(element)
         entries.append(row)
     if ring is None:
-        raise SchemaError(f"{where}: cannot infer the ring of an empty matrix")
-    try:
-        return SuperMatrix(ring, shape, entries)
-    except (ParityPatternViolation, RingMismatch, ShapeMismatch) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+        raise _Fault("", "cannot infer the ring of an empty matrix")
+    if misplaced is not None:
+        i, j, forced, element = misplaced
+        raise _Fault("", f"entry ({i}, {j}) must be {'odd' if forced else 'even'}: {element!r}")
+    return SuperMatrix._raw(ring, shape, entries)
+
+
+def parse_matrix(obj, ring: SuperRing = None, where="matrix") -> SuperMatrix:
+    return _parse(where, _read_matrix, obj, ring, None if ring is None else encode_ring(ring))
 
 
 # -- profiles, coordinates, points -------------------------------------------------
@@ -251,12 +383,16 @@ def encode_profile(bp: BlockProfile) -> Dict:
     return {"m": bp.m, "n": bp.n, "r": bp.r, "s": bp.s}
 
 
-def parse_profile(obj, where="profile") -> BlockProfile:
-    values = [_get(obj, key, int, where) for key in ("m", "n", "r", "s")]
+def _read_profile(obj, path="") -> BlockProfile:
+    values = [_get(obj, key, int, path) for key in ("m", "n", "r", "s")]
     try:
         return BlockProfile(*values)
     except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+        raise _Fault(path, str(exc)) from None
+
+
+def parse_profile(obj, where="profile") -> BlockProfile:
+    return _parse(where, _read_profile, obj)
 
 
 def encode_ncoords(coords: NCoordinates) -> Dict:
@@ -268,52 +404,79 @@ def encode_ncoords(coords: NCoordinates) -> Dict:
     }
 
 
+_BLOCKS = ("u", "eta", "xi", "v")
+
+
 def _peek_ring(obj) -> Optional[SuperRing]:
-    """The ring embedded in the first entry of a matrix document, if any."""
-    entries = obj.get("entries") if isinstance(obj, dict) else None
+    """The ring embedded in the first filled entry of a matrix document, if any."""
+    entries = obj.get("entries")
     if isinstance(entries, list):
-        for row in entries:
+        for i, row in enumerate(entries):
             if isinstance(row, list):
-                for cell in row:
+                for j, cell in enumerate(row):
                     if isinstance(cell, dict) and "ring" in cell:
-                        return parse_ring(cell["ring"])
+                        try:
+                            return _read_ring(cell["ring"], ".ring")
+                        except _Fault as fault:
+                            raise fault.under(f".entries[{i}][{j}]")
     return None
 
 
-def parse_ncoords(obj, ring: SuperRing = None, where="ncoords") -> NCoordinates:
+def _read_ncoords(obj, ring: Optional[SuperRing]) -> NCoordinates:
     if ring is None:
         # some blocks may be empty (0 x k); take the ring from any filled one
-        for key in ("u", "eta", "xi", "v"):
-            ring = _peek_ring(_get(obj, key, dict, where))
+        for key in _BLOCKS:
+            block = _get(obj, key, dict)
+            try:
+                ring = _peek_ring(block)
+            except _Fault as fault:
+                raise fault.under(f".{key}")
             if ring is not None:
                 break
         else:
             ring = SuperRing()
-    u = parse_matrix(_get(obj, "u", dict, where), ring, f"{where}.u")
-    eta = parse_matrix(_get(obj, "eta", dict, where), ring, f"{where}.eta")
-    xi = parse_matrix(_get(obj, "xi", dict, where), ring, f"{where}.xi")
-    v = parse_matrix(_get(obj, "v", dict, where), ring, f"{where}.v")
+    form = encode_ring(ring)
+    blocks = []
+    for key in _BLOCKS:
+        block = _get(obj, key, dict)
+        try:
+            blocks.append(_read_matrix(block, ring, form))
+        except _Fault as fault:
+            raise fault.under(f".{key}")
+    u, eta, xi, v = blocks
     m_r, r = u.shape.rows[0], u.shape.cols[0]
     n_s, s = v.shape.rows[1], v.shape.cols[1]
     profile = BlockProfile(m_r + r, n_s + s, r, s)
     try:
         return NCoordinates(profile, u, eta, xi, v)
     except ShapeMismatch as exc:
-        raise SchemaError(f"{where}: inconsistent block shapes: {exc}") from None
+        raise _Fault("", f"inconsistent block shapes: {exc}") from None
+
+
+def parse_ncoords(obj, ring: SuperRing = None, where="ncoords") -> NCoordinates:
+    return _parse(where, _read_ncoords, obj, ring)
 
 
 def encode_grassmann_point(point: GrassmannianPoint) -> Dict:
     return {"profile": encode_profile(point.profile), "span": encode_matrix(point.span)}
 
 
-def parse_grassmann_point(obj, where="point") -> GrassmannianPoint:
-    profile = parse_profile(_get(obj, "profile", dict, where), f"{where}.profile")
-    span = parse_matrix(_get(obj, "span", dict, where), None, f"{where}.span")
+def _read_grassmann_point(obj) -> GrassmannianPoint:
+    profile = _read_profile(_get(obj, "profile", dict), ".profile")
+    span_obj = _get(obj, "span", dict)
+    try:
+        span = _read_matrix(span_obj, None, None)
+    except _Fault as fault:
+        raise fault.under(".span")
     # a rank-deficient span is a domain error, not a schema error: let it raise
     try:
         return GrassmannianPoint(profile, span)
     except ShapeMismatch as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+        raise _Fault("", str(exc)) from None
+
+
+def parse_grassmann_point(obj, where="point") -> GrassmannianPoint:
+    return _parse(where, _read_grassmann_point, obj)
 
 
 # -- presentations -------------------------------------------------------------------
@@ -328,22 +491,30 @@ def encode_presentation(pres: Presentation) -> Dict:
     }
 
 
-def parse_presentation(obj, where="presentation") -> Presentation:
-    base = parse_ring(_get(obj, "base", dict, where), f"{where}.base")
-    fiber = parse_ring(_get(obj, "fiber", dict, where), f"{where}.fiber")
-    total = SuperRing(base.even_vars + fiber.even_vars, base.odd_vars + fiber.odd_vars)
-    rel_even = [
-        parse_element(item, total, f"{where}.relations_even[{k}]")
-        for k, item in enumerate(_get(obj, "relations_even", list, where))
-    ]
-    rel_odd = [
-        parse_element(item, total, f"{where}.relations_odd[{k}]")
-        for k, item in enumerate(_get(obj, "relations_odd", list, where))
-    ]
+def _read_presentation(obj) -> Presentation:
+    base = _read_ring(_get(obj, "base", dict), ".base")
+    fiber = _read_ring(_get(obj, "fiber", dict), ".fiber")
     try:
-        return Presentation(base, fiber.even_vars, fiber.odd_vars, rel_even, rel_odd)
+        total = SuperRing(base.even_vars + fiber.even_vars, base.odd_vars + fiber.odd_vars)
     except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+        raise _Fault("", str(exc)) from None
+    form = encode_ring(total)
+    relations = []
+    for key in ("relations_even", "relations_odd"):
+        relations.append([])
+        for k, item in enumerate(_get(obj, key, list)):
+            try:
+                relations[-1].append(_read_element(item, total, form)[0])
+            except _Fault as fault:
+                raise fault.under(f".{key}[{k}]")
+    try:
+        return Presentation(base, fiber.even_vars, fiber.odd_vars, *relations)
+    except ValueError as exc:
+        raise _Fault("", str(exc)) from None
+
+
+def parse_presentation(obj, where="presentation") -> Presentation:
+    return _parse(where, _read_presentation, obj)
 
 
 def encode_rational_point(pt: RationalPoint) -> Dict:
@@ -354,11 +525,17 @@ def encode_rational_point(pt: RationalPoint) -> Dict:
     return {"values": values}
 
 
-def parse_rational_point(obj, where="point") -> RationalPoint:
-    raw = _get(obj, "values", dict, where)
+def _read_rational_point(obj) -> RationalPoint:
     values = {}
-    for name, item in raw.items():
+    for name, item in _get(obj, "values", dict).items():
         if not isinstance(name, str):
-            raise SchemaError(f"{where}.values: variable names must be strings")
-        values[name] = parse_coeff(item, f"{where}.values[{name}]")
+            raise _Fault(".values", "variable names must be strings")
+        try:
+            values[name] = _read_coeff(item)
+        except _Fault as fault:
+            raise fault.under(f".values[{name}]")
     return RationalPoint(values)
+
+
+def parse_rational_point(obj, where="point") -> RationalPoint:
+    return _parse(where, _read_rational_point, obj)

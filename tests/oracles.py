@@ -5,6 +5,8 @@ routine took its place; the tests compare the two on the same inputs.
 """
 
 import json
+import textwrap
+from fractions import Fraction
 from itertools import combinations
 from operator import add
 
@@ -14,7 +16,10 @@ from sgq import (
     NotInBigCell,
     NotInvertible,
     SchemaError,
+    SgqError,
     SuperMatrix,
+    SuperRing,
+    SuperShape,
     block_matrix,
     inv_even,
     is_invertible,
@@ -23,7 +28,6 @@ from sgq import (
 )
 from sgq.algebra import sign_mask
 from sgq.flag import _check_square
-from sgq.serialize import _fraction_from_str, _is_int, parse_ring
 
 
 def subset_dp_det(matrix):
@@ -225,6 +229,10 @@ def _expect(condition, message):
         raise SchemaError(message)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _get(obj, key, kind, where):
     _expect(isinstance(obj, dict), f"{where}: expected an object")
     _expect(key in obj, f"{where}: missing key {key!r}")
@@ -232,6 +240,16 @@ def _get(obj, key, kind, where):
     _expect(isinstance(value, kind) and not isinstance(value, bool),
             f"{where}.{key}: wrong type {type(value).__name__}")
     return value
+
+
+def _fraction_from_str(text, where):
+    shown = repr(text) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
+    _expect("e" not in text and "E" not in text,
+            f"{where}: bad rational {shown}: exponent notation is not accepted")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{where}: bad rational {shown}: {textwrap.shorten(str(exc), 160)}") from None
 
 
 def fraction_parse_coeff(obj, where="coeff"):
@@ -243,10 +261,23 @@ def fraction_parse_coeff(obj, where="coeff"):
     return GaussianRational(_fraction_from_str(re, where), _fraction_from_str(im, where))
 
 
+def _parse_ring(obj, where):
+    even = _get(obj, "even", list, where)
+    odd = _get(obj, "odd", list, where)
+    _expect(all(isinstance(v, str) for v in even + odd), f"{where}: variable names must be strings")
+    try:
+        return SuperRing(even, odd)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def fraction_parse_element(obj, ring=None, where="element"):
-    """An element document read with every coefficient through Fraction and
-    the embedded ring always parsed before it is compared."""
-    embedded = parse_ring(_get(obj, "ring", dict, where), f"{where}.ring")
+    """An element document read in two walks, as the parser did before it
+    read each document in one: every term is checked and its coefficient read
+    through Fraction, then `SuperRing.element` checks the exponents and odd
+    indices and builds the element.  The embedded ring is always parsed
+    before it is compared."""
+    embedded = _parse_ring(_get(obj, "ring", dict, where), f"{where}.ring")
     if ring is None:
         ring = embedded
     else:
@@ -266,4 +297,33 @@ def fraction_parse_element(obj, ring=None, where="element"):
     try:
         return ring.element(terms)
     except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
+def fraction_parse_matrix(obj, ring=None, where="matrix"):
+    """A matrix document read in three walks: `fraction_parse_element` per
+    entry, then the validating `SuperMatrix` constructor checks each entry's
+    ring and parity."""
+    shape_obj = _get(obj, "shape", dict, where)
+    rows = _get(shape_obj, "rows", list, f"{where}.shape")
+    cols = _get(shape_obj, "cols", list, f"{where}.shape")
+    _expect(len(rows) == 2 and len(cols) == 2 and all(_is_int(k) and k >= 0 for k in rows + cols),
+            f"{where}.shape: rows and cols must be pairs of nonnegative integers")
+    shape = SuperShape((rows[0], rows[1]), (cols[0], cols[1]))
+    raw = _get(obj, "entries", list, where)
+    _expect(len(raw) == shape.n_rows, f"{where}: expected {shape.n_rows} entry rows, got {len(raw)}")
+    entries = []
+    for i, raw_row in enumerate(raw):
+        _expect(isinstance(raw_row, list) and len(raw_row) == shape.n_cols,
+                f"{where}.entries[{i}]: expected {shape.n_cols} entries")
+        row = []
+        for j, cell in enumerate(raw_row):
+            element = fraction_parse_element(cell, ring, f"{where}.entries[{i}][{j}]")
+            ring = element.ring
+            row.append(element)
+        entries.append(row)
+    _expect(ring is not None, f"{where}: cannot infer the ring of an empty matrix")
+    try:
+        return SuperMatrix(ring, shape, entries)
+    except SgqError as exc:
         raise SchemaError(f"{where}: {exc}") from None

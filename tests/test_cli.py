@@ -1,15 +1,22 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgq import BlockProfile, SuperMatrix, SuperRing, SuperShape
 from sgq.cli import main
 from sgq.flag import NCoordinates
-from sgq.sampling import random_big_cell, trial_rng
+from sgq.sampling import random_big_cell, random_big_cell_point, random_ncoords, trial_rng
 from sgq.serialize import (
     canonical_dumps,
+    encode_grassmann_point,
     encode_matrix,
     encode_ncoords,
     encode_presentation,
@@ -295,3 +302,127 @@ def test_module_entry_point(small_matrix_doc):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["ok"] is True
+
+
+def test_smooth_with_a_generator_in_base_and_fiber_is_malformed(tmp_path, capsys):
+    pres = {"base": {"even": ["x"], "odd": []}, "fiber": {"even": ["x"], "odd": []},
+            "relations_even": [], "relations_odd": []}
+    pres_path, pt_path = tmp_path / "pres.json", tmp_path / "pt.json"
+    pres_path.write_text(json.dumps(pres))
+    pt_path.write_text(json.dumps({"values": {"x": "1"}}))
+    assert run_cli("smooth", "--in", str(pres_path), "--in2", str(pt_path)) == 2
+    assert capsys.readouterr().err == "sgq smooth: presentation: generator names must be distinct: ('x', 'x')\n"
+
+
+def test_chart_up_reports_the_locus_of_the_ring_it_peeks_at(ring, tmp_path, capsys):
+    bp = BlockProfile(2, 2, 1, 1)
+    doc = encode_ncoords(random_ncoords(ring, bp, trial_rng(0, "peek", 0)))
+    doc["u"]["entries"][0][0]["ring"]["even"] = [1]
+    path = tmp_path / "nc.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("chart-up", "--in", str(path), "--profile", "2,2,1,1") == 2
+    assert capsys.readouterr().err == "sgq chart-up: ncoords.u.entries[0][0].ring: variable names must be strings\n"
+
+
+# -- every parse entry point on broken documents -----------------------------------
+
+_JSON_VALUES = [None, True, False, 0, -1, 2, 10 ** 30, 1.5, "", "x", "1/2", [], [0], ["x"], {}, {"re": "1"}]
+
+
+@st.composite
+def _profiles(draw):
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return BlockProfile(m, n, draw(st.integers(0, m)), draw(st.integers(0, n)))
+
+
+@st.composite
+def _valid_inputs(draw, command):
+    """A command's valid input documents, at most (2|2) with q <= 3, and its
+    --profile argument (or None)."""
+    bp = draw(_profiles())
+    ring = SuperRing([], [f"t{k}" for k in range(1, draw(st.integers(0, 3)) + 1)])
+    rng = trial_rng(draw(st.integers(0, 3)), "fuzz", 0)
+    profile = f"{bp.m},{bp.n},{bp.r},{bp.s}"
+    if command == "ber":
+        return [encode_matrix(random_big_cell(ring, bp, rng))], None
+    if command == "chart-down":
+        return [encode_grassmann_point(random_big_cell_point(ring, bp, rng))], profile
+    if command == "chart-up":
+        return [encode_ncoords(random_ncoords(ring, bp, rng))], profile
+    total = SuperRing(["x"], ["s1", "s2"])
+    x, s1, s2 = total.gen("x"), total.gen("s1"), total.gen("s2")
+    pres = Presentation(SuperRing(), ["x"], ["s1", "s2"], [x ** 2 - total.one() + s1 * s2], [s1 * x])
+    return [encode_presentation(pres), encode_rational_point(RationalPoint({"x": 1}))], None
+
+
+def _nodes(doc):
+    """Every (container, key) pair below doc."""
+    found = []
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+        for key in keys:
+            found.append((node, key))
+            stack.append(node[key])
+    return found
+
+
+def _mutate(draw, doc):
+    """Apply one drawn mutation to doc in place, if any node suits it."""
+    nodes = _nodes(doc)
+    kind = draw(st.sampled_from(["drop", "retype", "odd", "exp", "duplicate", "parity", "names"]))
+    if kind in ("drop", "retype"):
+        candidates = nodes
+    elif kind in ("odd", "exp"):
+        candidates = [(node, key) for node, key in nodes if key == kind]
+    elif kind in ("duplicate", "parity"):
+        candidates = [(node, key) for node, key in nodes if key == "terms" and isinstance(node[key], list)
+                      and node[key]]
+    else:
+        # the name lists of rings, not the odd indices of terms
+        candidates = [(node, key) for node, key in nodes if key in ("even", "odd") and "coeff" not in node
+                      and isinstance(node[key], list)]
+    if not candidates:
+        return
+    node, key = draw(st.sampled_from(candidates))
+    if kind == "drop":
+        del node[key]
+    elif kind == "retype":
+        node[key] = copy.deepcopy(draw(st.sampled_from(_JSON_VALUES)))
+    elif kind == "odd":
+        node[key] = draw(st.sampled_from([[-1], [5], [1, 0], [0, 0], [10 ** 30], [True]]))
+    elif kind == "exp":
+        node[key] = draw(st.sampled_from([[0], [-1], [0, 0], [True]]))
+    elif kind == "duplicate":
+        node[key].append(copy.deepcopy(draw(st.sampled_from(node[key]))))
+    elif kind == "parity":
+        for term in node[key]:
+            odd = term.get("odd") if isinstance(term, dict) else None
+            if isinstance(odd, list) and all(type(i) is int for i in odd):
+                term["odd"] = sorted(set(odd) ^ {0})
+    else:
+        node[key] = node[key] + [draw(st.sampled_from(["x", "s1", "t1"]))]
+
+
+@pytest.mark.parametrize("command", ["ber", "chart-down", "chart-up", "smooth"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_broken_documents_end_in_an_exit_status(command, data):
+    docs, profile = data.draw(_valid_inputs(command))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data.draw, data.draw(st.sampled_from(docs)))
+    with tempfile.TemporaryDirectory() as work:
+        argv = [command]
+        for flag, doc in zip(["--in", "--in2"], docs):
+            path = Path(work) / f"{flag[2:]}.json"
+            path.write_text(json.dumps(doc))
+            argv += [flag, str(path)]
+        if profile:
+            argv += ["--profile", profile]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(Path(work) / "out.json")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1

@@ -1,9 +1,9 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import fraction_parse_coeff, fraction_parse_element, json_canonical_dumps
+from oracles import fraction_parse_coeff, fraction_parse_element, fraction_parse_matrix, json_canonical_dumps
 from sgq import BlockProfile, SchemaError, SuperRing
 from sgq.flag import NCoordinates
 from sgq.sampling import random_big_cell, random_big_cell_point, random_element, random_ncoords, trial_rng
@@ -190,9 +190,15 @@ def _outcome(parse, *args):
         value = parse(*args)
     except SchemaError as exc:
         return "error", str(exc)
+    if hasattr(value, "entries"):
+        return value.ring, value.shape, [[_element_data(e) for e in row] for row in value.entries]
     if hasattr(value, "terms"):
-        return value.ring, sorted((key, (c.re_num, c.im_num, c.den)) for key, c in value.terms.items())
+        return value.ring, _element_data(value)
     return value.re_num, value.im_num, value.den
+
+
+def _element_data(element):
+    return sorted((key, (c.re_num, c.im_num, c.den)) for key, c in element.terms.items())
 
 
 @given(_COEFF_DOC)
@@ -239,13 +245,24 @@ def _element_docs(draw):
     if terms and draw(st.booleans()):
         terms.append(dict(terms[0]))
     for k, item in enumerate(terms):
-        broken = draw(st.sampled_from([None, "coeff", "exp", "odd", "exp_bool", "not_a_dict"]))
+        broken = draw(st.sampled_from([None, None, "coeff", "exp", "odd", "exp_bool", "odd_bool", "not_a_dict",
+                                       "exp_length", "odd_order", "odd_repeat", "odd_huge"]))
         if broken in ("coeff", "exp", "odd"):
             del item[broken]
         elif broken == "exp_bool":
             item["exp"] = item["exp"] + [True]
+        elif broken == "odd_bool":
+            item["odd"] = [True]
         elif broken == "not_a_dict":
             terms[k] = [item]
+        elif broken == "exp_length":
+            item["exp"] = item["exp"] + [0]
+        elif broken == "odd_order":
+            item["odd"] = [1, 0]
+        elif broken == "odd_repeat":
+            item["odd"] = [0, 0]
+        elif broken == "odd_huge":
+            item["odd"] = [0, 10 ** 30]
     doc = draw(st.sampled_from([{"ring": ring_doc, "terms": terms}, {"ring": ring_doc}, {"terms": terms},
                                 {"ring": ring_doc, "terms": {}}]))
     return doc, draw(st.sampled_from([None, ring]))
@@ -255,3 +272,141 @@ def _element_docs(draw):
 def test_parse_element_matches_fraction_oracle(case):
     doc, ring = case
     assert _outcome(parse_element, doc, ring) == _outcome(fraction_parse_element, doc, ring)
+
+
+_INDEX = st.one_of(st.integers(-1, 3), st.just(10 ** 30), st.just(True))
+
+
+@st.composite
+def _term_lists(draw):
+    """A ring and an element document over it whose terms are well formed
+    up to their exponent vectors and odd indices, which are mostly valid but
+    may be short, long, negative, unsorted, repeated, out of range or not
+    integers."""
+    ring = draw(st.sampled_from(_RINGS))
+    exp = st.one_of(
+        st.lists(st.integers(0, 2), min_size=ring.n_even, max_size=ring.n_even),
+        st.sampled_from([ring.n_even, ring.n_even + 1, max(ring.n_even - 1, 0)]).flatmap(
+            lambda k: st.lists(st.integers(-1, 2), min_size=k, max_size=k)),
+    )
+    odd = st.one_of(
+        st.sets(st.integers(0, ring.n_odd - 1), max_size=ring.n_odd).map(sorted) if ring.n_odd else st.just([]),
+        st.lists(_INDEX, max_size=3),
+    )
+    term = st.fixed_dictionaries({"coeff": st.sampled_from(["0", "1", {"re": "-1/2", "im": "3"}]),
+                                  "exp": exp, "odd": odd})
+    terms = draw(st.lists(term, max_size=4))
+    if terms and draw(st.booleans()):
+        terms.append(draw(st.sampled_from(terms)))
+    return {"ring": encode_ring(ring), "terms": terms}, ring
+
+
+@settings(max_examples=300)
+@given(_term_lists())
+def test_term_walk_matches_two_walk_oracle(case):
+    doc, ring = case
+    assert _outcome(parse_element, doc, ring) == _outcome(fraction_parse_element, doc, ring)
+
+@st.composite
+def _cell_docs(draw, ring, parity):
+    """An element document over `ring` whose terms mostly have the given
+    parity, with coefficients that may be zero."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 2))):
+        odd = set(draw(st.lists(st.integers(0, ring.n_odd - 1), max_size=ring.n_odd))) if ring.n_odd else set()
+        if len(odd) % 2 != parity and draw(st.integers(0, 3)):
+            if not ring.n_odd:
+                continue
+            odd ^= {0}
+        exp = draw(st.lists(st.integers(0, 2), min_size=ring.n_even, max_size=ring.n_even))
+        terms[tuple(exp), tuple(sorted(odd))] = {
+            "coeff": draw(st.sampled_from(["0", "1", "-2/3", {"re": "0", "im": "1/2"}])),
+            "exp": exp, "odd": sorted(odd)}
+    return {"ring": encode_ring(ring), "terms": list(terms.values())}
+
+
+@st.composite
+def _matrix_docs(draw):
+    """A matrix document of shape at most (2|2) x (2|2) with some of its parts
+    broken, and the ring the parser is told to expect (or None)."""
+    ring = draw(st.sampled_from(_RINGS))
+    rows, cols = draw(st.lists(st.integers(0, 2), min_size=2, max_size=2)), draw(
+        st.lists(st.integers(0, 2), min_size=2, max_size=2))
+    entries = [[draw(_cell_docs(ring, (i >= rows[0]) ^ (j >= cols[0]))) for j in range(sum(cols))]
+               for i in range(sum(rows))]
+    doc = {"shape": {"rows": rows, "cols": cols}, "entries": entries}
+    cells = [(i, j) for i in range(len(entries)) for j in range(len(entries[i]))]
+    if cells:
+        for i, j in draw(st.lists(st.sampled_from(cells), max_size=2)):
+            entries[i][j] = draw(_element_docs())[0]
+    broken = draw(st.sampled_from([None] * 4 + ["shape", "shape_bool", "entries", "row_count", "row_length",
+                                               "row_type"]))
+    if broken in ("shape", "entries"):
+        del doc[broken]
+    elif broken == "shape_bool":
+        doc["shape"] = {"rows": [True, rows[1]], "cols": cols}
+    elif broken == "row_count":
+        entries.append([])
+    elif broken in ("row_length", "row_type") and entries:
+        entries[-1] = entries[-1][:-1] if broken == "row_length" else {"cells": entries[-1]}
+    return doc, draw(st.sampled_from([None, None, ring, _RINGS[(_RINGS.index(ring) + 1) % len(_RINGS)]]))
+
+
+@given(_matrix_docs())
+def test_parse_matrix_matches_three_walk_oracle(case):
+    doc, ring = case
+    assert _outcome(parse_matrix, doc, ring) == _outcome(fraction_parse_matrix, doc, ring)
+
+
+def _two_by_two(cells):
+    """A (1|1) matrix document over Lambda[t1, t2]: 1 on the diagonal and 0
+    off it, with `cells` replacing the term lists of some entries."""
+    rows = [[[{"coeff": "1", "exp": [], "odd": []}], []], [[], [{"coeff": "1", "exp": [], "odd": []}]]]
+    for (i, j), terms in cells.items():
+        rows[i][j] = terms
+    ring = {"even": [], "odd": ["t1", "t2"]}
+    return {"shape": {"rows": [1, 1], "cols": [1, 1]},
+            "entries": [[{"ring": ring, "terms": terms} for terms in row] for row in rows]}
+
+
+@pytest.mark.parametrize("cells, message", [
+    # an element's own faults end its walk: a later entry is never read
+    ({(0, 0): [{"coeff": "1", "exp": [], "odd": [0, 5]}], (1, 1): [{"coeff": "x", "exp": [], "odd": []}]},
+     "matrix.entries[0][0]: odd index tuple (0, 5) out of range for 2 odd generators"),
+    # a parity fault waits for the whole matrix
+    ({(0, 1): [{"coeff": "1", "exp": [], "odd": []}], (1, 1): [{"coeff": "1", "odd": []}]},
+     "matrix.entries[1][1].terms[0]: missing key 'exp'"),
+    ({(0, 1): [{"coeff": "1", "exp": [], "odd": []}]},
+     "matrix: entry (0, 1) must be odd: 1"),
+    # an exponent or odd-index fault waits for the schema checks of its element
+    ({(0, 0): [{"coeff": "1", "exp": [], "odd": [0, 5]}, {"coeff": "x", "exp": [], "odd": []}]},
+     "matrix.entries[0][0].terms[1].coeff: bad rational 'x': Invalid literal for Fraction: 'x'"),
+    ({(0, 0): [{"coeff": "1", "exp": [0], "odd": []}, {"coeff": "1", "exp": [0], "odd": []}]},
+     "matrix.entries[0][0].terms[1]: duplicate monomial"),
+    ({(0, 0): [{"coeff": "1", "exp": [], "odd": [1, 0]}, {"coeff": "1", "exp": [-1], "odd": []}]},
+     "matrix.entries[0][0]: odd index tuple (1, 0) is not strictly increasing"),
+    # no mask is built before the range check
+    ({(0, 0): [{"coeff": "1", "exp": [], "odd": [0, 10 ** 30]}]},
+     f"matrix.entries[0][0]: odd index tuple (0, {10 ** 30}) out of range for 2 odd generators"),
+])
+def test_fault_order(cells, message):
+    doc = _two_by_two(cells)
+    assert _outcome(parse_matrix, doc) == ("error", message) == _outcome(fraction_parse_matrix, doc)
+
+
+@pytest.mark.parametrize("exp, odd, message", [
+    ([-1], [], "bad exponent vector (-1,) for ring with 1 even generators"),
+    ([0, 0], [], "bad exponent vector (0, 0) for ring with 1 even generators"),
+    ([], [], "bad exponent vector () for ring with 1 even generators"),
+    ([0], [0, 0], "odd index tuple (0, 0) is not strictly increasing"),
+    ([0], [-1], "odd index tuple (-1,) out of range for 1 odd generators"),
+    ([0], [1], "odd index tuple (1,) out of range for 1 odd generators"),
+])
+def test_misfit_term(exp, odd, message):
+    doc = {"ring": {"even": ["x"], "odd": ["t1"]}, "terms": [{"coeff": "1", "exp": exp, "odd": odd}]}
+    assert _outcome(parse_element, doc) == ("error", f"element: {message}") == _outcome(fraction_parse_element, doc)
+
+def test_zero_terms_neither_count_for_parity_nor_stay():
+    doc = _two_by_two({(0, 1): [{"coeff": "0", "exp": [], "odd": []}, {"coeff": "2", "exp": [], "odd": [1]}]})
+    matrix = parse_matrix(doc)
+    assert matrix.entries[0][1] == SuperRing([], ["t1", "t2"]).element({((), (1,)): 2})

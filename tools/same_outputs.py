@@ -21,8 +21,9 @@ determinant is still a unit, and a (2|2) matrix whose Gaussian coefficients
 have distinct denominators.  Further `ber` runs read coefficients outside
 the written form (signs, spaces, decimals, underscores, leading zeros,
 non-ASCII digits, zero and negative denominators, 5,000 digits) and
-embedded rings that differ from the written one.  Each `cli_*.txt` file
-holds the exit status, stderr and output document of one invocation.
+embedded rings that differ from the written one, and documents that hold
+two faults each, which pin the one reported.  Each `cli_*.txt` file holds
+the exit status, stderr and output document of one invocation.
 """
 
 import contextlib
@@ -230,6 +231,31 @@ def coefficient_commands():
     ber("ring_differs", [cell("1"), cell("2", {"even": [], "odd": ["t"]})], [cell("0"), cell("3")])
 
 
+def fault_order_commands():
+    # each document holds two faults; the one reported is the first in
+    # document order, except that an exponent or odd-index fault waits for
+    # the schema checks of its element and a parity fault for the whole matrix
+    ring = {"even": [], "odd": ["t1", "t2"]}
+
+    def term(odd, coeff="1", exp=()):
+        return {"coeff": coeff, "exp": list(exp), "odd": list(odd)}
+
+    def ber(tag, cells):
+        # a (1|1) matrix with entries 1 on the diagonal and 0 off it, but for `cells`
+        rows = [[[term([])], []], [[], [term([])]]]
+        for (i, j), terms in cells.items():
+            rows[i][j] = terms
+        doc = {"shape": {"rows": [1, 1], "cols": [1, 1]},
+               "entries": [[{"ring": ring, "terms": terms} for terms in row] for row in rows]}
+        cli(f"ber_{tag}", "ber", "--in", write_input(f"{tag}.json", doc))
+
+    ber("odd_range_then_coeff", {(0, 0): [term([0, 5])], (1, 1): [term([], "x")]})
+    ber("parity_then_schema", {(0, 1): [term([])], (1, 1): [{"coeff": "1", "odd": []}]})
+    ber("odd_range_then_coeff_in_element", {(0, 0): [term([0, 5]), term([], "x")]})
+    ber("exp_length_then_duplicate", {(0, 0): [term([], exp=[0]), term([], exp=[0])]})
+    ber("odd_index_huge", {(0, 0): [term([0, 10 ** 30])]})
+
+
 def smooth_commands():
     def smooth(tag, pres, values):
         cli(f"smooth_{tag}", "smooth",
@@ -266,5 +292,6 @@ if __name__ == "__main__":
     gaussian_commands()
     stall_commands()
     coefficient_commands()
+    fault_order_commands()
     smooth_commands()
     print(len(os.listdir(OUT)) - 1, "documents in", OUT)
