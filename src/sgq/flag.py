@@ -192,10 +192,10 @@ def normal_form(g: SuperMatrix, bp: BlockProfile) -> Tuple[NCoordinates, SuperMa
     Row blocks 1 and 4 of n are those of the identity, so p shares them with
     g, and on column blocks 1 and 4, where p vanishes in row blocks 2 and 3,
     the system reads g[(2, 3), (1, 4)] = [u eta; xi v] * g[(1, 4), (1, 4)].
-    One right division by the corner solves it; the corner's two even
-    inverses are the big-cell test.  Since n^-1 = assemble(-coords), row
-    blocks 2 and 3 of p are g's minus [u eta; xi v] times g's row blocks 1
-    and 4.
+    One right division by the corner solves it; the corner's two even inverses
+    are the big-cell test.  Since n^-1 = assemble(-coords), row blocks 2 and 3
+    of p are g's minus [u eta; xi v] times g's row blocks 1 and 4: an interior
+    in column blocks 2 and 3 whose body det times the corner's is g's.
     """
     _check_square(g, bp)
     inner, corner = _inner_and_corner(bp)
@@ -203,10 +203,10 @@ def normal_form(g: SuperMatrix, bp: BlockProfile) -> Tuple[NCoordinates, SuperMa
         norm = right_divide(g.select(inner, corner), g.select(corner, corner))
     except NotInvertible:
         raise NotInBigCell(f"corner blocks of g lack invertible body under profile {bp}") from None
-    if not is_invertible(g):
-        raise NotInvertible("g has singular body")
     # columns 1 and 4 of p vanish on these rows; columns 2 and 3 are g's less n's part
     interior = g.select(inner, inner) - norm * g.select(corner, inner)
+    if not is_invertible(interior):
+        raise NotInvertible("g has singular body")
     zero = g.ring.zero()
     rows = [list(row) for row in g.entries]
     for i, row in zip(inner, interior.entries):

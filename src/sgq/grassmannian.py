@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 from .algebra import SuperRing
 from .errors import NotInBigCell, NotInvertible, RankDeficient, RingMismatch, ShapeMismatch
 from .flag import BlockProfile, NCoordinates, assemble, coordinates_from_quotient
-from .matrix import SuperMatrix, SuperShape, is_invertible, right_divide
+from .matrix import SuperMatrix, SuperShape, independent_rows, is_invertible, right_divide
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -57,13 +57,20 @@ class GrassmannianPoint:
 def _first_valid_choice(span: SuperMatrix, bp: BlockProfile) -> Optional[Tuple[int, ...]]:
     """The lexicographically first r even and s odd rows with invertible body,
     or None; that body is block diagonal, so the two parts are chosen apart."""
-    even_cols = range(bp.r)
-    odd_cols = range(bp.r, bp.r + bp.s)
-    even = next((rows for rows in combinations(range(bp.m), bp.r)
-                 if is_invertible(span.select(rows, even_cols))), None)
-    odd = next((rows for rows in combinations(range(bp.m, bp.m + bp.n), bp.s)
-                if is_invertible(span.select(rows, odd_cols))), None)
+    even = _first_frame(span, range(bp.m), range(bp.r))
+    odd = _first_frame(span, range(bp.m, bp.m + bp.n), range(bp.r, bp.r + bp.s))
     return None if even is None or odd is None else even + odd
+
+
+def _first_frame(span: SuperMatrix, rows: range, cols: range) -> Optional[Tuple[int, ...]]:
+    """The first len(cols) of `rows` with invertible body on `cols`.  Constant
+    bodies make these the bases of a linear matroid, found by greedy elimination;
+    with even generators only the subset search is right: of the rows [x] and [1]
+    only (1,) frames, and [[x, x+1], [x-1, x]] is unimodular with no unit entry."""
+    if span.ring.n_even:
+        return next((c for c in combinations(rows, len(cols)) if is_invertible(span.select(c, cols))), None)
+    kept = independent_rows([[span[i, j].body().constant_value() for j in cols] for i in rows])
+    return tuple(rows[k] for k in kept) if len(kept) == len(cols) else None
 
 
 def _normalize_on(span: SuperMatrix, rows: Tuple[int, ...]) -> SuperMatrix:

@@ -363,6 +363,21 @@ def is_invertible(matrix: SuperMatrix) -> bool:
     return matrix.shape.is_square and det_even(matrix.body()).is_unit()
 
 
+def independent_rows(rows: Sequence[Sequence]) -> List[int]:
+    """The indices of the rows over Q(i) that are no combination of earlier ones, by
+    elimination in row order: the first basis of the row space; their count is the rank."""
+    basis = []  # (row index, pivot column, row reduced by the earlier basis rows)
+    for i, row in enumerate(rows):
+        for _, col, pivot_row in basis:
+            if row[col]:
+                factor = row[col] / pivot_row[col]
+                row = [a - factor * b for a, b in zip(row, pivot_row)]
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is not None:
+            basis.append((i, col, row))
+    return [i for i, _, _ in basis]
+
+
 def _schur_step(matrix: SuperMatrix):
     """(C, D^-1, B D^-1, S^-1) for a square matrix [[A, B], [C, D]], where
     S = A - B D^-1 C is the Schur complement of the odd-odd block D.  Raises

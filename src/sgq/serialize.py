@@ -201,11 +201,18 @@ def encode_ring(ring: SuperRing) -> Dict:
     return {"even": list(ring.even_vars), "odd": list(ring.odd_vars)}
 
 
+def _check_names(names, path: str) -> None:
+    # a name is quoted as written in diagnostics, so a line break in one would split them
+    if not all(isinstance(v, str) for v in names):
+        raise _Fault(path, "variable names must be strings")
+    if not all(v.isprintable() for v in names):
+        raise _Fault(path, "variable names must be printable")
+
+
 def _read_ring(obj, path="") -> SuperRing:
     even = _get(obj, "even", list, path)
     odd = _get(obj, "odd", list, path)
-    if not all(isinstance(v, str) for v in even + odd):
-        raise _Fault(path, "variable names must be strings")
+    _check_names(even + odd, path)
     try:
         return SuperRing(even, odd)
     except ValueError as exc:
@@ -528,8 +535,7 @@ def encode_rational_point(pt: RationalPoint) -> Dict:
 def _read_rational_point(obj) -> RationalPoint:
     values = {}
     for name, item in _get(obj, "values", dict).items():
-        if not isinstance(name, str):
-            raise _Fault(".values", "variable names must be strings")
+        _check_names([name], ".values")
         try:
             values[name] = _read_coeff(item)
         except _Fault as fault:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import SuperElement, SuperHom, SuperRing
 from .errors import NotAPoint, ParityViolation, UnassignedVariable
-from .matrix import SuperMatrix, SuperShape, det_even
+from .matrix import SuperMatrix, SuperShape, det_even, independent_rows
 from .scalars import GaussianRational
 
 
@@ -112,28 +112,6 @@ def jacobian(pres: Presentation) -> List[List[SuperElement]]:
     return [[rel.derivative(var) for var in cols] for rel in rows]
 
 
-def _rank(rows: List[List[GaussianRational]]) -> int:
-    """Rank over Q(i) by exact Gaussian elimination."""
-    matrix = [list(row) for row in rows]
-    n_cols = len(matrix[0]) if matrix else 0
-    rank = 0
-    col = 0
-    while rank < len(matrix) and col < n_cols:
-        pivot_row = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        pivot = matrix[rank][col]
-        for i in range(rank + 1, len(matrix)):
-            if matrix[i][col]:
-                factor = matrix[i][col] / pivot
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def rank_at_point(pres: Presentation, pt: RationalPoint) -> Tuple[int, int]:
     """Ranks of the two diagonal Jacobian blocks at the point."""
     at_point = _substitution(pres, pt)
@@ -160,7 +138,7 @@ def rank_at_point(pres: Presentation, pt: RationalPoint) -> Tuple[int, int]:
                 )
             values.append(value)
         evaluated.append(values)
-    return _rank(evaluated[:n_even_rel]), _rank(evaluated[n_even_rel:])
+    return len(independent_rows(evaluated[:n_even_rel])), len(independent_rows(evaluated[n_even_rel:]))
 
 
 def is_smooth_at(pres: Presentation, pt: RationalPoint) -> SmoothnessVerdict:

@@ -324,6 +324,23 @@ def test_chart_up_reports_the_locus_of_the_ring_it_peeks_at(ring, tmp_path, caps
     assert capsys.readouterr().err == "sgq chart-up: ncoords.u.entries[0][0].ring: variable names must be strings\n"
 
 
+@pytest.mark.parametrize("name", ["a\nb", "\tt", "t\u2028"])
+def test_unprintable_generator_names_are_malformed(tmp_path, capsys, name):
+    # a name quoted in a diagnostic must not break it over several lines
+    cell = {"ring": {"even": [], "odd": [name]}, "terms": [{"coeff": "1", "exp": [], "odd": [0]}]}
+    matrix_path = tmp_path / "m.json"
+    matrix_path.write_text(json.dumps({"shape": {"rows": [1, 0], "cols": [1, 0]}, "entries": [[cell]]}))
+    assert run_cli("ber", "--in", str(matrix_path)) == 2
+    assert capsys.readouterr().err == "sgq ber: matrix.entries[0][0].ring: variable names must be printable\n"
+    pres = {"base": {"even": [], "odd": []}, "fiber": {"even": ["x"], "odd": []},
+            "relations_even": [], "relations_odd": []}
+    pres_path, pt_path = tmp_path / "pres.json", tmp_path / "pt.json"
+    pres_path.write_text(json.dumps(pres))
+    pt_path.write_text(json.dumps({"values": {"x": "1", name: "y"}}))
+    assert run_cli("smooth", "--in", str(pres_path), "--in2", str(pt_path)) == 2
+    assert capsys.readouterr().err == "sgq smooth: point.values: variable names must be printable\n"
+
+
 # -- every parse entry point on broken documents -----------------------------------
 
 _JSON_VALUES = [None, True, False, 0, -1, 2, 10 ** 30, 1.5, "", "x", "1/2", [], [0], ["x"], {}, {"re": "1"}]
@@ -402,7 +419,10 @@ def _mutate(draw, doc):
             if isinstance(odd, list) and all(type(i) is int for i in odd):
                 term["odd"] = sorted(set(odd) ^ {0})
     else:
-        node[key] = node[key] + [draw(st.sampled_from(["x", "s1", "t1"]))]
+        # replace a name, or add one at the end; some names break a line
+        name = draw(st.sampled_from(["x", "s1", "t1", "t\n1", "\tx", "s\u2028"]))
+        spot = draw(st.integers(0, len(node[key])))
+        node[key] = node[key][:spot] + [name] + node[key][spot + 1:]
 
 
 @pytest.mark.parametrize("command", ["ber", "chart-down", "chart-up", "smooth"])
@@ -425,4 +445,5 @@ def test_broken_documents_end_in_an_exit_status(command, data):
             code = main(argv + ["--out", str(Path(work) / "out.json")])
     assert code in (0, 1, 2)
     if code == 2:
-        assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
+        # splitlines also breaks at the separators that a name may hold, such as U+2028
+        assert err.getvalue().endswith("\n") and len(err.getvalue().splitlines()) == 1

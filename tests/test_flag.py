@@ -12,6 +12,7 @@ from sgq import (
     assemble,
     cosets_equal,
     in_big_cell,
+    is_invertible,
     n_coordinates_of,
     n_member,
     normal_form,
@@ -150,6 +151,51 @@ def test_normal_form_singular_g_with_invertible_corners(grassmann2):
     g = SuperMatrix(grassmann2, SuperShape((2, 0), (2, 0)), [[one, one], [one, one]])
     with pytest.raises(NotInvertible, match="^g has singular body$"):
         normal_form(g, BlockProfile(2, 0, 1, 0))
+
+
+def _with_copied_row(g, target, source, scale):
+    """g with the body of row `target` replaced by `scale` times that of row
+    `source` (of the same parity) plus what remains of its own."""
+    rows = [list(row) for row in g.entries]
+    rows[target] = [e.soul() + scale * s.body() for e, s in zip(rows[target], rows[source])]
+    return SuperMatrix(g.ring, g.shape, rows)
+
+
+@pytest.mark.parametrize("profile", [(2, 2, 1, 1), (3, 2, 2, 1), (2, 2, 0, 1)])
+def test_normal_form_raises_not_invertible_exactly_for_singular_body(grassmann4, profile):
+    # the first row of block 2 or 3 copies the body of another row of its
+    # parity: g leaves the corners intact and has a singular body
+    bp = BlockProfile(*profile)
+    g = random_big_cell(grassmann4, bp, trial_rng(1, "interior", sum(profile)))
+    cases = [g]
+    for block, other in ((2, (0, 1)), (3, (bp.m + bp.n - 1, bp.m))):
+        if len(bp.block_range(block)):
+            target = bp.block_range(block)[0]
+            cases.append(_with_copied_row(g, target, next(i for i in other if i != target), 1))
+    assert [is_invertible(c) for c in cases] == [True] + [False] * (len(cases) - 1)
+    for matrix in cases:
+        assert in_big_cell(matrix, bp)
+        if is_invertible(matrix):
+            normal_form(matrix, bp)
+        else:
+            with pytest.raises(NotInvertible, match="^g has singular body$"):
+                normal_form(matrix, bp)
+
+
+def test_normal_form_singular_body_over_polynomial_ring(mixed_ring):
+    # row 1 (block 2) gets x times row 0's body: singular; or its own body
+    # plus x times row 0's: a unit determinant with polynomial entries
+    g = random_big_cell(mixed_ring, BP_FULL, trial_rng(1, "interior_mixed", 0))
+    x = mixed_ring.gen("x")
+    singular = _with_copied_row(g, 1, 0, x)
+    rows = [list(row) for row in g.entries]
+    rows[1] = [e + x * s.body() for e, s in zip(rows[1], rows[0])]
+    sheared = SuperMatrix(mixed_ring, g.shape, rows)
+    assert not is_invertible(singular) and is_invertible(sheared)
+    with pytest.raises(NotInvertible, match="^g has singular body$"):
+        normal_form(singular, BP_FULL)
+    coords, p = normal_form(sheared, BP_FULL)
+    assert assemble(coords) * p == sheared
 
 
 def test_normal_form_shape_guard(grassmann4):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sgq import (
     BlockProfile,
@@ -8,6 +9,7 @@ from sgq import (
     RankDeficient,
     ShapeMismatch,
     SuperMatrix,
+    SuperRing,
     SuperShape,
     act,
     chart_down,
@@ -54,7 +56,7 @@ def test_standard_point_self_equal(grassmann4):
 
 def test_rank_deficient_span_rejected(grassmann2):
     span = SuperMatrix.zeros(grassmann2, SuperShape((1, 1), (1, 0)))
-    with pytest.raises(RankDeficient):
+    with pytest.raises(RankDeficient, match="^no choice of r even and s odd rows has invertible body$"):
         GrassmannianPoint(BP_SMALL, span)
 
 
@@ -207,3 +209,60 @@ def test_first_valid_choice_matches_product_search(grassmann4, dead, copied, exp
         rows[i] = [above.body() + e.soul() for above, e in zip(rows[i - 1], rows[i])]
     span = SuperMatrix(grassmann4, span.shape, rows)
     assert _first_valid_choice(span, bp) == first_valid_choice_product(span, bp) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(m=st.integers(1, 5), n=st.integers(0, 4), r=st.integers(0, 5), s=st.integers(0, 4),
+       q=st.integers(0, 3), even=st.booleans(), seed=st.integers(0, 2 ** 16),
+       dead=st.sets(st.integers(0, 8), max_size=3), copied=st.sets(st.integers(1, 8), max_size=3))
+@example(m=2, n=1, r=1, s=1, q=2, even=False, seed=0, dead={0, 1}, copied=set())
+@example(m=3, n=2, r=2, s=1, q=1, even=False, seed=0, dead=set(), copied={1, 2, 4})
+@example(m=3, n=2, r=2, s=2, q=3, even=True, seed=0, dead={3}, copied={2})
+def test_first_valid_choice_matches_product_search_on_random_spans(m, n, r, s, q, even, seed, dead, copied):
+    # as above, on any profile up to (5|4): dead rows lose their body, copied
+    # rows take the body of the row above when it has the same parity
+    bp = BlockProfile(m, n, min(r, m), min(s, n))
+    ring = SuperRing(["x"] if even else [], [f"t{k}" for k in range(1, q + 1)])
+    g = random_invertible(ring, trial_rng(seed, "frames", m + n), m, n)
+    span = g.select(range(m + n), list(range(bp.r)) + list(range(m, m + bp.s)))
+    rows = [list(row) for row in span.entries]
+    for i in sorted(copied):
+        if i < m + n and i != m:
+            rows[i] = [above.body() + e.soul() for above, e in zip(rows[i - 1], rows[i])]
+    for i in dead:
+        if i < m + n:
+            rows[i] = [e.soul() for e in rows[i]]
+    span = SuperMatrix(ring, span.shape, rows)
+    assert _first_valid_choice(span, bp) == first_valid_choice_product(span, bp)
+
+
+def test_polynomial_bodies_frame_by_unit_minors(mixed_ring):
+    # over an even generator the row sets with unit minor are no matroid: of
+    # the rows [x] and [1] only the second frames, and [[x, x+1], [x-1, x]]
+    # has determinant 1 though none of its entries is a unit
+    x, one = mixed_ring.gen("x"), mixed_ring.one()
+    cases = [
+        (BlockProfile(2, 0, 1, 0), [[x], [one]], (1,)),
+        (BlockProfile(2, 0, 2, 0), [[x, x + one], [x - one, x]], (0, 1)),
+        (BlockProfile(3, 0, 2, 0), [[x, one], [x, x + one], [x - one, x]], (1, 2)),
+    ]
+    for bp, rows, expected in cases:
+        span = SuperMatrix(mixed_ring, SuperShape((bp.m, 0), (bp.r, 0)), rows)
+        assert _first_valid_choice(span, bp) == first_valid_choice_product(span, bp) == expected
+        assert GrassmannianPoint(bp, span).frame == expected
+
+
+def test_late_frame_needs_no_body_test(grassmann4, monkeypatch):
+    # the first m - r rows are nilpotent, so the frame is the last of the
+    # C(14, 7) = 3432 row subsets; without even generators one elimination finds it
+    def no_body_test(matrix):
+        raise AssertionError("frame search ran a body test")
+
+    monkeypatch.setattr("sgq.grassmannian.is_invertible", no_body_test)
+    ring = grassmann4
+    m, r = 14, 7
+    t12 = ring.gen("t1") * ring.gen("t2")
+    rows = [[t12 * (i + j + 1) for j in range(r)] for i in range(m - r)]
+    rows += [[ring.one() if i == j else t12 for j in range(r)] for i in range(r)]
+    span = SuperMatrix(ring, SuperShape((m, 0), (r, 0)), rows)
+    assert GrassmannianPoint(BlockProfile(m, 0, r, 0), span).frame == tuple(range(m - r, m))

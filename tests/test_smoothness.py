@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,8 +17,8 @@ from sgq import (
     jacobian,
     rank_at_point,
 )
+from sgq.matrix import independent_rows
 from sgq.sampling import random_nonzero_scalar, random_scalar, trial_rng
-from sgq.smoothness import _rank
 
 EMPTY = SuperRing()
 
@@ -175,6 +176,9 @@ def test_rank_matches_sympy():
         return (sympy.Rational(c.re.numerator, c.re.denominator)
                 + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
 
+    def rank(rows):
+        return sympy.Matrix([[to_sympy(c) for c in row] for row in rows]).rank() if rows else 0
+
     def combination(rows):
         weights = [random_nonzero_scalar(rng, 3) for _ in rows]
         return [sum((w * row[k] for w, row in zip(weights, rows)), GaussianRational(0))
@@ -197,7 +201,12 @@ def test_rank_matches_sympy():
             full = [[random_scalar(rng, 3) for _ in range(n_cols)] for _ in range(n_rows)]
             zero = [[GaussianRational(0)] * n_cols for _ in range(n_rows)]
             for rows in (full, dependent, zero):
-                expected = sympy.Matrix([[to_sympy(c) for c in row] for row in rows]).rank()
-                assert _rank(rows) == expected, rows
-            deficient += _rank(dependent) < min(n_rows, n_cols)
+                kept = independent_rows(rows)
+                assert len(kept) == rank(rows), rows
+                if n_rows <= 4 and n_cols <= 4:
+                    # the kept rows are the first row subset, in combinations order, of full rank
+                    first = next(chosen for chosen in combinations(range(n_rows), len(kept))
+                                 if rank([rows[i] for i in chosen]) == len(kept))
+                    assert kept == list(first), rows
+            deficient += len(independent_rows(dependent)) < min(n_rows, n_cols)
     assert deficient >= 10

@@ -13,7 +13,9 @@ checkout's `bench/inputs.py`, including inputs that end in `NotInBigCell`,
 `NotInvertible`, `NotAPoint`, `UnassignedVariable`, `ShapeMismatch` and
 schema errors.  The coset profiles include ones with empty blocks (r = 0,
 s = 0, r = m, s = n, n = 0), so the right division by the corner meets
-empty even or odd parts.  The `coset-eq` runs compare g with g*p, with
+empty even or odd parts.  At (12, 0 | 6, 0), `orbit` and `chart-down` meet
+a span framed only by the last of its 924 row subsets, and `orbit` one
+whose body has rank 5 < r.  The `coset-eq` runs compare g with g*p, with
 another coset, with a singular g1 and with matrices of the wrong shape.
 The `minv` and `ber` inputs also cover the row swaps and the stall of the
 even-block elimination, over a ring with an even generator a stall whose
@@ -123,6 +125,27 @@ def coset_commands():
     g = SuperMatrix(ring, SuperShape((2, 0), (2, 0)), [[one, one], [one, one]])
     cli("factor_2,0,1,0_singular", "factor", "--in", write_input("g2010.json", serialize.encode_matrix(g)),
         "--profile", "2,0,1,0")
+
+
+def late_frame_commands():
+    # profile (12, 0 | 6, 0), g = [[S, I], [I, 0]] with nilpotent S: the span
+    # [[S], [I]] is framed only by its last six rows, the last of the 924 row
+    # subsets, so chart-down ends in NotInBigCell; with a copied identity row
+    # the span body has rank 5 < r and orbit ends in RankDeficient
+    ring = SuperRing([], ["t1", "t2", "t3", "t4"])
+    t12, t34 = ring.gen("t1") * ring.gen("t2"), ring.gen("t3") * ring.gen("t4")
+    one, zero = ring.one(), ring.zero()
+    nilpotent = [[(i + 2 * j + 1) % 5 * t12 + (2 * i + j) % 3 * t34 for j in range(6)] for i in range(6)]
+    eye = [[one if i == j else zero for j in range(6)] for i in range(6)]
+    for kind, lower in (("late", eye), ("rank5", eye[:5] + [eye[4]])):
+        rows = [s + e for s, e in zip(nilpotent, eye)] + [row + [zero] * 6 for row in lower]
+        g = SuperMatrix(ring, SuperShape((12, 0), (12, 0)), rows)
+        tag = f"12,0,6,0_{kind}"
+        path = write_input(f"{tag}.g.json", serialize.encode_matrix(g))
+        orbit = json.loads(cli(f"orbit_{tag}", "orbit", "--in", path, "--profile", "12,0,6,0"))
+        if orbit["ok"]:
+            point = write_input(f"{tag}.point.json", orbit["result"])
+            cli(f"chart-down_{tag}", "chart-down", "--in", point, "--profile", "12,0,6,0")
 
 
 def coset_eq_commands():
@@ -287,6 +310,7 @@ if __name__ == "__main__":
     os.makedirs(WORK, exist_ok=True)
     proptest_reports()
     coset_commands()
+    late_frame_commands()
     coset_eq_commands()
     superlinalg_commands()
     gaussian_commands()
