@@ -9,6 +9,7 @@ smoothness verdicts for presented superschemes.
 from .algebra import SuperElement, SuperHom, SuperRing
 from .closed_form import generic_instance, solution_line_report
 from .errors import (
+    LimitExceeded,
     NotAPoint,
     NotInBigCell,
     NotInvertible,
@@ -64,6 +65,7 @@ __all__ = [
     "BlockProfile",
     "GaussianRational",
     "GrassmannianPoint",
+    "LimitExceeded",
     "NCoordinates",
     "NotAPoint",
     "NotInBigCell",

@@ -19,7 +19,7 @@ import sys
 from typing import Optional
 
 from . import serialize
-from .errors import SchemaError, SgqError
+from .errors import LimitExceeded, SchemaError, SgqError
 from .flag import BlockProfile, cosets_equal, normal_form
 from .grassmannian import chart_down, chart_up, orbit_map
 from .matrix import berezinian, sm_inv
@@ -63,6 +63,15 @@ def _emit(doc, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _encoded(key: str, encode, value):
+    """{key: encode(value)}; a coefficient too long to read back is a domain
+    error whose locus starts at key."""
+    try:
+        return {key: encode(value)}
+    except LimitExceeded as exc:
+        raise LimitExceeded(f"{key}{exc}") from None
+
+
 def _block_profile(values, flag: str) -> BlockProfile:
     try:
         return BlockProfile(*values)
@@ -78,12 +87,12 @@ def _profile_arg(args) -> BlockProfile:
 
 def _run_ber(args):
     matrix = serialize.parse_matrix(_load(args.in_path))
-    return {"result": serialize.encode_element(berezinian(matrix))}
+    return _encoded("result", serialize.encode_element, berezinian(matrix))
 
 
 def _run_minv(args):
     matrix = serialize.parse_matrix(_load(args.in_path))
-    return {"result": serialize.encode_matrix(sm_inv(matrix))}
+    return _encoded("result", serialize.encode_matrix, sm_inv(matrix))
 
 
 def _run_factor(args):
@@ -92,8 +101,8 @@ def _run_factor(args):
     coords, parabolic = normal_form(matrix, bp)
     return {
         "profile": serialize.encode_profile(bp),
-        "n": serialize.encode_ncoords(coords),
-        "p": serialize.encode_matrix(parabolic),
+        **_encoded("n", serialize.encode_ncoords, coords),
+        **_encoded("p", serialize.encode_matrix, parabolic),
     }
 
 
@@ -109,7 +118,7 @@ def _run_coset_eq(args):
 def _run_orbit(args):
     bp = _profile_arg(args)
     matrix = serialize.parse_matrix(_load(args.in_path))
-    return {"result": serialize.encode_grassmann_point(orbit_map(matrix, bp))}
+    return _encoded("result", serialize.encode_grassmann_point, orbit_map(matrix, bp))
 
 
 def _run_chart_up(args):
@@ -117,7 +126,7 @@ def _run_chart_up(args):
     coords = serialize.parse_ncoords(_load(args.in_path))
     if coords.profile != bp:
         raise SchemaError(f"--profile {args.profile} disagrees with the block shapes in the input")
-    return {"result": serialize.encode_grassmann_point(chart_up(coords))}
+    return _encoded("result", serialize.encode_grassmann_point, chart_up(coords))
 
 
 def _run_chart_down(args):
@@ -125,7 +134,7 @@ def _run_chart_down(args):
     point = serialize.parse_grassmann_point(_load(args.in_path))
     if point.profile != bp:
         raise SchemaError(f"--profile {args.profile} disagrees with the profile in the input")
-    return {"result": serialize.encode_ncoords(chart_down(point))}
+    return _encoded("result", serialize.encode_ncoords, chart_down(point))
 
 
 def _run_smooth(args):

@@ -53,5 +53,10 @@ class UnknownSuite(SgqError):
     """The property-test harness does not know the requested suite."""
 
 
+class LimitExceeded(SgqError):
+    """A value is over a size limit, such as a coefficient with more digits
+    than a document reader accepts."""
+
+
 class SchemaError(SgqError):
     """An input document does not match the expected JSON schema."""

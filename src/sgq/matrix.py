@@ -21,10 +21,13 @@ by the unit determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import add
 from typing import Callable, List, Sequence, Tuple
 
-from .algebra import SuperElement, SuperRing, accumulate_product
+from .algebra import SuperElement, SuperRing, accumulate_product, sign_mask
 from .errors import NotInvertible, ParityPatternViolation, RingMismatch, ShapeMismatch
+from .scalars import from_triple
 
 
 @dataclass(frozen=True)
@@ -165,21 +168,18 @@ class SuperMatrix:
         self._check_ring(other)
         if self.shape.cols != other.shape.rows:
             raise ShapeMismatch(f"cannot multiply shapes {self.shape} and {other.shape}")
-        shape = SuperShape(self.shape.rows, other.shape.cols)
+        ring = self.ring
+        # each operand is read once: the right one column by column, the left
+        # one row by row with each term's sign mask
+        columns = [[[(exp, mask, c.re_num, c.im_num, c.den) for (exp, mask), c in row[j].terms.items()]
+                    for row in other.entries]
+                   for j in range(other.n_cols)]
         rows = []
-        for i in range(self.n_rows):
-            my_row = self.entries[i]
-            row = []
-            for j in range(other.n_cols):
-                terms = {}
-                for k in range(self.n_cols):
-                    left = my_row[k]
-                    right = other.entries[k][j]
-                    if left.terms and right.terms:
-                        accumulate_product(terms, left.terms, right.terms)
-                row.append(SuperElement(self.ring, terms))
-            rows.append(row)
-        return SuperMatrix._raw(self.ring, shape, rows)
+        for my_row in self.entries:
+            left = [[(exp, mask, sign_mask(mask), c.re_num, c.im_num, c.den) for (exp, mask), c in e.terms.items()]
+                    for e in my_row]
+            rows.append([SuperElement(ring, _dot(left, column)) for column in columns])
+        return SuperMatrix._raw(ring, SuperShape(self.shape.rows, other.shape.cols), rows)
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(repr(e) for e in row) + "]" for row in self.entries)
@@ -190,6 +190,52 @@ class SuperMatrix:
 
     def inv(self) -> "SuperMatrix":
         return sm_inv(self)
+
+
+def _dot(left, column):
+    """The term map of sum_k left[k] * column[k], from unpacked terms:
+    (exp, mask, sign mask, re_num, im_num, den) on the left and
+    (exp, mask, re_num, im_num, den) on the right.
+
+    The k-loop adds unreduced triples per key, bringing two denominators
+    to their lcm when they differ; each surviving key then takes one gcd and
+    one coefficient object.  Keys whose sum is zero are dropped.
+    """
+    acc = {}
+    for left_terms, right_terms in zip(left, column):
+        if not right_terms:
+            continue
+        for exp1, mask1, signs, a1, b1, d1 in left_terms:
+            for exp2, mask2, a2, b2, d2 in right_terms:
+                if mask1 & mask2:
+                    continue
+                if b1 or b2:
+                    a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                else:
+                    a, b = a1 * a2, 0
+                d = d1 * d2
+                if (signs & mask2).bit_count() & 1:
+                    a, b = -a, -b
+                key = (tuple(map(add, exp1, exp2)) if exp1 else exp2, mask1 | mask2)
+                held = acc.get(key)
+                if held is not None:
+                    a0, b0, d0 = held
+                    if d0 == d:
+                        a, b = a + a0, b + b0
+                    else:
+                        g = gcd(d, d0)
+                        m, m0 = d0 // g, d // g
+                        a, b, d = a * m + a0 * m0, b * m + b0 * m0, d * m
+                acc[key] = (a, b, d)
+    terms = {}
+    for key, (a, b, d) in acc.items():
+        if a or b:
+            if d != 1:
+                g = gcd(a, b, d)
+                if g != 1:
+                    a, b, d = a // g, b // g, d // g
+            terms[key] = from_triple(a, b, d)
+    return terms
 
 
 def _require_even_square(matrix: SuperMatrix) -> None:
@@ -315,31 +361,39 @@ def inv_even(matrix: SuperMatrix) -> SuperMatrix:
 
 
 def block_matrix(grid: Sequence[Sequence[SuperMatrix]]) -> SuperMatrix:
-    """Concatenate a grid of blocks; row/col parities must stay even-first."""
+    """Concatenate a grid of blocks; row/col parities must stay even-first.
+
+    The checks are per block: its ring, its row grading against the rest of
+    its grid row and its column grading against the block above it.  Each
+    block holds the parity pattern of its own grading, so the entries then
+    hold the pattern of the whole and are not checked one by one.
+    """
     if not grid or not grid[0]:
         raise ShapeMismatch("empty block grid")
     ring = grid[0][0].ring
+    col_gradings = [block.shape.cols for block in grid[0]]
     row_parities: List[int] = []
     entries: List[List[SuperElement]] = []
     for block_row in grid:
-        heights = {b.n_rows for b in block_row}
-        if len(heights) != 1:
+        if any(block.ring != ring for block in block_row):
+            raise RingMismatch("blocks of the grid live in different rings")
+        if len({block.n_rows for block in block_row}) != 1:
             raise ShapeMismatch("inconsistent block heights in a grid row")
-        for local in range(heights.pop()):
-            if len({b.shape.row_parity(local) for b in block_row}) != 1:
-                raise ShapeMismatch("blocks in one grid row disagree on row parity")
-            entries.append([e for block in block_row for e in block.entries[local]])
-            row_parities.append(block_row[0].shape.row_parity(local))
-    col_parities: List[int] = []
-    for block in grid[0]:
-        col_parities.extend(block.shape.col_parity(j) for j in range(block.n_cols))
+        if len({block.shape.rows for block in block_row}) != 1:
+            raise ShapeMismatch("blocks in one grid row disagree on row parity")
+        if [block.shape.cols for block in block_row] != col_gradings:
+            raise ShapeMismatch("blocks in one grid column disagree on width or column parity")
+        even, odd = block_row[0].shape.rows
+        row_parities += [0] * even + [1] * odd
+        entries += ([e for part in parts for e in part] for parts in zip(*(b.entries for b in block_row)))
+    col_parities = [p for even, odd in col_gradings for p in [0] * even + [1] * odd]
     if row_parities != sorted(row_parities) or col_parities != sorted(col_parities):
         raise ShapeMismatch("block grid would interleave even and odd indices")
     shape = SuperShape(
         (row_parities.count(0), row_parities.count(1)),
         (col_parities.count(0), col_parities.count(1)),
     )
-    return SuperMatrix(ring, shape, entries)
+    return SuperMatrix._raw(ring, shape, entries)
 
 
 def _parity_blocks(matrix: SuperMatrix):

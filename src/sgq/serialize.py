@@ -22,13 +22,14 @@ entry of the wrong parity once the whole matrix has been read.
 from __future__ import annotations
 
 import re
+import sys
 import textwrap
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional
 
 from .algebra import SuperElement, SuperRing, TermKey
-from .errors import SchemaError, ShapeMismatch
+from .errors import LimitExceeded, SchemaError, ShapeMismatch
 from .flag import BlockProfile, NCoordinates
 from .grassmannian import GrassmannianPoint
 from .matrix import SuperMatrix, SuperShape
@@ -186,8 +187,28 @@ def _read_coeff(obj, path="") -> GaussianRational:
     return from_triple(a, b, 1) if d1 == d2 == 1 else from_ratios(a, d1, b, d2)
 
 
+# a string this short parses at any int_max_str_digits, which is 0 or >= 640
+_ALWAYS_READABLE = 640
+
+
+def _check_readable(text: str, path: str) -> None:
+    """LimitExceeded at `path` when an integer of the written coefficient `text`
+    has more digits than int() reads, so no document holding it could be read."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for digits in text.lstrip("-").split("/"):
+        if limit and len(digits) > limit:
+            raise LimitExceeded(f"{path}: {len(digits)} digits, over the {limit} that reading accepts")
+
+
 def encode_coeff(value: GaussianRational) -> Dict[str, str]:
-    return {"re": ratio_str(value.re_num, value.den), "im": ratio_str(value.im_num, value.den)}
+    """The written coefficient.  A part with an integer too long to read back
+    raises LimitExceeded with its locus, here ".re" or ".im"; the encoders of
+    larger values put the coefficient's place in front of it."""
+    re_text, im_text = ratio_str(value.re_num, value.den), ratio_str(value.im_num, value.den)
+    if len(re_text) > _ALWAYS_READABLE or len(im_text) > _ALWAYS_READABLE:
+        _check_readable(re_text, ".re")
+        _check_readable(im_text, ".im")
+    return {"re": re_text, "im": im_text}
 
 
 def parse_coeff(obj, where="coeff") -> GaussianRational:
@@ -225,8 +246,11 @@ def parse_ring(obj, where="ring") -> SuperRing:
 
 def encode_element(element: SuperElement) -> Dict:
     terms = []
-    for (exp, odd), coeff in element.sorted_terms():
-        terms.append({"coeff": encode_coeff(coeff), "exp": list(exp), "odd": list(odd)})
+    try:
+        for (exp, odd), coeff in element.sorted_terms():
+            terms.append({"coeff": encode_coeff(coeff), "exp": list(exp), "odd": list(odd)})
+    except LimitExceeded as exc:
+        raise LimitExceeded(f".terms[{len(terms)}].coeff{exc}") from None
     return {"ring": encode_ring(element.ring), "terms": terms}
 
 
@@ -331,10 +355,16 @@ def parse_element(obj, ring: SuperRing = None, where="element") -> SuperElement:
 
 
 def encode_matrix(matrix: SuperMatrix) -> Dict:
-    return {
-        "shape": {"rows": list(matrix.shape.rows), "cols": list(matrix.shape.cols)},
-        "entries": [[encode_element(e) for e in row] for row in matrix.entries],
-    }
+    entries: List[List[Dict]] = []
+    try:
+        for row in matrix.entries:
+            cells: List[Dict] = []
+            entries.append(cells)
+            for entry in row:
+                cells.append(encode_element(entry))
+    except LimitExceeded as exc:
+        raise LimitExceeded(f".entries[{len(entries) - 1}][{len(cells)}]{exc}") from None
+    return {"shape": {"rows": list(matrix.shape.rows), "cols": list(matrix.shape.cols)}, "entries": entries}
 
 
 def _read_matrix(obj, ring: Optional[SuperRing], form: Optional[Dict]) -> SuperMatrix:
@@ -402,16 +432,17 @@ def parse_profile(obj, where="profile") -> BlockProfile:
     return _parse(where, _read_profile, obj)
 
 
-def encode_ncoords(coords: NCoordinates) -> Dict:
-    return {
-        "u": encode_matrix(coords.u),
-        "eta": encode_matrix(coords.eta),
-        "xi": encode_matrix(coords.xi),
-        "v": encode_matrix(coords.v),
-    }
-
-
 _BLOCKS = ("u", "eta", "xi", "v")
+
+
+def encode_ncoords(coords: NCoordinates) -> Dict:
+    doc = {}
+    try:
+        for name in _BLOCKS:
+            doc[name] = encode_matrix(getattr(coords, name))
+    except LimitExceeded as exc:
+        raise LimitExceeded(f".{name}{exc}") from None
+    return doc
 
 
 def _peek_ring(obj) -> Optional[SuperRing]:
@@ -465,7 +496,11 @@ def parse_ncoords(obj, ring: SuperRing = None, where="ncoords") -> NCoordinates:
 
 
 def encode_grassmann_point(point: GrassmannianPoint) -> Dict:
-    return {"profile": encode_profile(point.profile), "span": encode_matrix(point.span)}
+    try:
+        span = encode_matrix(point.span)
+    except LimitExceeded as exc:
+        raise LimitExceeded(f".span{exc}") from None
+    return {"profile": encode_profile(point.profile), "span": span}
 
 
 def _read_grassmann_point(obj) -> GrassmannianPoint:
@@ -490,12 +525,15 @@ def parse_grassmann_point(obj, where="point") -> GrassmannianPoint:
 
 
 def encode_presentation(pres: Presentation) -> Dict:
-    return {
-        "base": encode_ring(pres.base),
-        "fiber": {"even": list(pres.fiber_even), "odd": list(pres.fiber_odd)},
-        "relations_even": [encode_element(rel) for rel in pres.relations_even],
-        "relations_odd": [encode_element(rel) for rel in pres.relations_odd],
-    }
+    doc = {"base": encode_ring(pres.base), "fiber": {"even": list(pres.fiber_even), "odd": list(pres.fiber_odd)}}
+    for key, relations in (("relations_even", pres.relations_even), ("relations_odd", pres.relations_odd)):
+        doc[key] = []
+        try:
+            for rel in relations:
+                doc[key].append(encode_element(rel))
+        except LimitExceeded as exc:
+            raise LimitExceeded(f".{key}[{len(doc[key])}]{exc}") from None
+    return doc
 
 
 def _read_presentation(obj) -> Presentation:
@@ -528,7 +566,14 @@ def encode_rational_point(pt: RationalPoint) -> Dict:
     values = {}
     for name in sorted(pt.values):
         value = pt.values[name]
-        values[name] = ratio_str(value.re_num, value.den) if not value.im_num else encode_coeff(value)
+        try:
+            if value.im_num:
+                values[name] = encode_coeff(value)
+            else:
+                values[name] = ratio_str(value.re_num, value.den)
+                _check_readable(values[name], "")
+        except LimitExceeded as exc:
+            raise LimitExceeded(f".values[{name}]{exc}") from None
     return {"values": values}
 
 

@@ -12,6 +12,7 @@ from operator import add
 
 from sgq import (
     GaussianRational,
+    SuperElement,
     NCoordinates,
     NotInBigCell,
     NotInvertible,
@@ -26,7 +27,7 @@ from sgq import (
     split_blocks,
     standard_parabolic_member,
 )
-from sgq.algebra import sign_mask
+from sgq.algebra import accumulate_product, sign_mask
 from sgq.flag import _check_square
 
 
@@ -158,6 +159,23 @@ def operator_accumulate_product(dest, left, right):
                 dest[key] = total
             elif acc is not None:
                 del dest[key]
+
+
+def kloop_matmul(left, right):
+    """left * right for supermatrices of matching gradings, with one
+    accumulate_product call per (i, j, k) into the (i, j) term map."""
+    rows = []
+    for my_row in left.entries:
+        row = []
+        for j in range(right.n_cols):
+            terms = {}
+            for k, entry in enumerate(my_row):
+                other = right.entries[k][j]
+                if entry.terms and other.terms:
+                    accumulate_product(terms, entry.terms, other.terms)
+            row.append(SuperElement(left.ring, terms))
+        rows.append(row)
+    return SuperMatrix(left.ring, SuperShape(left.shape.rows, right.shape.cols), rows)
 
 
 def first_valid_choice_product(span, bp):

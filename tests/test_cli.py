@@ -209,18 +209,56 @@ _BIG = 10 ** 2200 + 1
 _BIG_SQUARED = "1" + "0" * 2199 + "2" + "0" * 2199 + "1"
 
 
-def _diagonal_doc(tmp_path, entry):
+def _diagonal_doc(tmp_path, entry, other=None):
     ring = entry.ring
-    matrix = SuperMatrix(ring, SuperShape((2, 0), (2, 0)), [[entry, ring.zero()], [ring.zero(), entry]])
+    other = entry if other is None else other
+    matrix = SuperMatrix(ring, SuperShape((2, 0), (2, 0)), [[entry, ring.zero()], [ring.zero(), other]])
     path = tmp_path / "diagonal.json"
     path.write_text(canonical_dumps(encode_matrix(matrix)))
     return path
 
 
 def test_result_over_the_int_str_digit_limit(ring, tmp_path):
+    # a result that no reader could read back is not written: exit 1 with
+    # the locus of the coefficient
     out = tmp_path / "ber.json"
-    assert run_cli("ber", "--in", str(_diagonal_doc(tmp_path, ring.scalar(_BIG))), "--out", str(out)) == 0
-    assert read(out)["result"]["terms"] == [{"coeff": {"re": _BIG_SQUARED, "im": "0"}, "exp": [], "odd": []}]
+    assert run_cli("ber", "--in", str(_diagonal_doc(tmp_path, ring.scalar(_BIG))), "--out", str(out)) == 1
+    assert read(out)["error"] == {"name": "LimitExceeded",
+                                  "detail": "result.terms[0].coeff.re: 4401 digits, over the 4300 that reading accepts"}
+
+
+@pytest.mark.parametrize("a, b, digits", [(10 ** 2149 + 1, 10 ** 2149 + 1, 4299),
+                                           (10 ** 2150, 3 * 10 ** 2149, 4300),
+                                           (10 ** 2150 + 1, 10 ** 2150 + 1, 4301)])
+def test_result_digits_at_the_reading_limit(ring, tmp_path, a, b, digits):
+    # Ber of diag(a, b) is a * b: written, and read back, up to 4,300 digits
+    out = tmp_path / "ber.json"
+    code = run_cli("ber", "--in", str(_diagonal_doc(tmp_path, ring.scalar(a), ring.scalar(b))), "--out", str(out))
+    if digits > 4300:
+        assert code == 1
+        assert read(out)["error"]["detail"] == f"result.terms[0].coeff.re: {digits} digits, over the 4300 that reading accepts"
+        return
+    assert code == 0
+    coeff = read(out)["result"]["terms"][0]["coeff"]
+    assert len(coeff["re"]) == digits
+    entry = {"ring": {"even": [], "odd": ["t1", "t2"]}, "terms": [{"coeff": coeff, "exp": [], "odd": []}]}
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps({"shape": {"rows": [1, 0], "cols": [1, 0]}, "entries": [[entry]]}))
+    assert run_cli("ber", "--in", str(again), "--out", str(out)) == 0
+    assert read(out)["result"]["terms"][0]["coeff"] == coeff
+
+
+def test_inverse_entry_over_the_digit_limit_names_its_place(ring, tmp_path):
+    # the inverse of a unitriangular (3|0) matrix holds the product of its two
+    # 2,151-digit entries, 4,301 digits, at (0, 2)
+    one, zero, big = ring.one(), ring.zero(), ring.scalar(10 ** 2150 + 1)
+    matrix = SuperMatrix(ring, SuperShape((3, 0), (3, 0)), [[one, big, zero], [zero, one, big], [zero, zero, one]])
+    path = tmp_path / "unitriangular.json"
+    path.write_text(canonical_dumps(encode_matrix(matrix)))
+    out = tmp_path / "minv.json"
+    assert run_cli("minv", "--in", str(path), "--out", str(out)) == 1
+    detail = read(out)["error"]["detail"]
+    assert detail == "result.entries[0][2].terms[0].coeff.re: 4301 digits, over the 4300 that reading accepts"
 
 
 def test_error_detail_over_the_int_str_digit_limit(tmp_path):

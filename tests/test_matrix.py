@@ -1,15 +1,21 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sgq import (
+    GaussianRational,
     NotInvertible,
     ParityPatternViolation,
+    RingMismatch,
     ShapeMismatch,
     SuperMatrix,
     SuperRing,
     SuperShape,
     berezinian,
+    block_matrix,
     det_even,
     inv_even,
     is_invertible,
@@ -19,7 +25,7 @@ from sgq.matrix import _charpoly, _det_and_inverse, _unit_pivot_elimination, rig
 from sgq import sampling
 from sgq.sampling import random_invertible, random_soul, random_unit, trial_rng
 
-from oracles import adjugate_inverse, subset_dp_det
+from oracles import adjugate_inverse, kloop_matmul, subset_dp_det
 
 
 def sq(ring, rows):
@@ -66,6 +72,125 @@ def test_shape_mismatch(grassmann2):
     with pytest.raises(ShapeMismatch):
         tall * tall
     assert (tall * wide).shape == SuperShape((2, 0), (2, 0))
+
+
+def _assert_canonical(matrix):
+    """Every stored coefficient is a nonzero canonical triple."""
+    for row in matrix.entries:
+        for entry in row:
+            for c in entry.terms.values():
+                assert c.den > 0 and gcd(c.re_num, c.im_num, c.den) == 1 and (c.re_num or c.im_num)
+
+
+_PRODUCT_RINGS = (SuperRing([], ["t1", "t2", "t3"]), SuperRing(["x"], ["t1", "t2"]))
+
+
+@st.composite
+def _graded_matrices(draw, ring, rows, cols):
+    """A pattern-valid matrix whose coefficients have independent denominators
+    on their real and imaginary parts."""
+    shape = SuperShape(rows, cols)
+    part = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    entries = []
+    for i in range(shape.n_rows):
+        row = []
+        for j in range(shape.n_cols):
+            parity = (shape.row_parity(i) + shape.col_parity(j)) % 2
+            odd = [s for size in range(parity, ring.n_odd + 1, 2) for s in combinations(range(ring.n_odd), size)]
+            terms = {}
+            for _ in range(draw(st.integers(0, 3))):
+                exp = tuple(draw(st.integers(0, 2)) for _ in ring.even_vars)
+                terms[(exp, draw(st.sampled_from(odd)))] = GaussianRational(draw(part), draw(part))
+            row.append(ring.element(terms))
+        entries.append(row)
+    return SuperMatrix(ring, shape, entries)
+
+
+@st.composite
+def _product_operands(draw):
+    ring = draw(st.sampled_from(_PRODUCT_RINGS))
+    grading = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    rows, inner, cols = draw(grading), draw(grading), draw(grading)
+    return draw(_graded_matrices(ring, rows, inner)), draw(_graded_matrices(ring, inner, cols))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_product_operands())
+@example((SuperMatrix.zeros(_PRODUCT_RINGS[0], SuperShape((2, 1), (0, 0))),
+          SuperMatrix.zeros(_PRODUCT_RINGS[0], SuperShape((0, 0), (1, 2)))))
+def test_product_matches_kloop_oracle(operands):
+    left, right = operands
+    product = left * right
+    assert product.shape == SuperShape(left.shape.rows, right.shape.cols)
+    assert product == kloop_matmul(left, right)
+    _assert_canonical(product)
+
+
+@settings(deadline=None, max_examples=40)
+@given(ring=st.sampled_from(_PRODUCT_RINGS), m=st.integers(0, 3), n=st.integers(0, 3), seed=st.integers(0, 10 ** 6))
+def test_product_with_inverse_cancels_to_identity(ring, m, n, seed):
+    # every off-diagonal sum and every soul on the diagonal cancels to zero
+    x = random_invertible(ring, trial_rng(seed, "product", m * 4 + n), m, n)
+    x_inv = sm_inv(x)
+    for left, right in ((x, x_inv), (x_inv, x)):
+        product = left * right
+        assert product == SuperMatrix.identity(ring, m, n) == kloop_matmul(left, right)
+        assert all(len(e.terms) == (i == j) for i, row in enumerate(product.entries) for j, e in enumerate(row))
+        _assert_canonical(product)
+
+
+def test_product_sums_distinct_denominators(grassmann2):
+    # 1/2 + 1/3 + 1/6 = 1, and (1/2 + 1/3 - 5/6) * i/4 = 0, over three denominators
+    t12 = grassmann2.gen("t1") * grassmann2.gen("t2")
+    half, third, sixth = (grassmann2.scalar(Fraction(1, k)) for k in (2, 3, 6))
+    quarter_i = grassmann2.scalar(GaussianRational(0, Fraction(1, 4)))
+    one = grassmann2.one()
+    left = SuperMatrix(grassmann2, SuperShape((3, 0), (3, 0)), [[half, third, sixth]] * 3)
+    right = SuperMatrix(grassmann2, SuperShape((3, 0), (3, 0)),
+                        [[one, quarter_i * t12, t12]] * 2 + [[one, quarter_i * t12 * -5, t12]])
+    product = left * right
+    assert product == kloop_matmul(left, right)
+    assert product[0, 0].is_one() and product[0, 1].is_zero() and product[0, 2] == t12
+    _assert_canonical(product)
+
+
+def test_block_matrix_concatenates(grassmann2):
+    one, t1, t2 = grassmann2.one(), grassmann2.gen("t1"), grassmann2.gen("t2")
+    a = SuperMatrix(grassmann2, SuperShape((1, 0), (1, 0)), [[one + t1 * t2]])
+    b = SuperMatrix(grassmann2, SuperShape((1, 0), (0, 1)), [[t1]])
+    c = SuperMatrix(grassmann2, SuperShape((0, 1), (1, 0)), [[t2]])
+    d = SuperMatrix(grassmann2, SuperShape((0, 1), (0, 1)), [[-one]])
+    assert block_matrix([[a, b], [c, d]]) == sq(grassmann2, [[one + t1 * t2, t1], [t2, -one]])
+
+
+def _zeros(ring, rows, cols):
+    return SuperMatrix.zeros(ring, SuperShape(rows, cols))
+
+
+def test_block_matrix_faults(grassmann2, mixed_ring):
+    z = lambda rows, cols, ring=grassmann2: _zeros(ring, rows, cols)
+    with pytest.raises(ShapeMismatch, match="empty"):
+        block_matrix([[]])
+    with pytest.raises(RingMismatch):
+        block_matrix([[z((1, 0), (1, 0)), z((1, 0), (0, 1), mixed_ring)]])
+    with pytest.raises(ShapeMismatch, match="heights"):
+        block_matrix([[z((1, 0), (1, 0)), z((2, 0), (0, 1))]])
+    with pytest.raises(ShapeMismatch, match="row parity"):
+        block_matrix([[z((1, 0), (1, 0)), z((0, 1), (0, 1))]])
+    with pytest.raises(ShapeMismatch, match="width"):
+        block_matrix([[z((1, 0), (1, 0))], [z((0, 1), (2, 0))]])
+    with pytest.raises(ShapeMismatch, match="interleave"):
+        block_matrix([[z((0, 1), (1, 0))], [z((1, 0), (1, 0))]])
+    with pytest.raises(ShapeMismatch, match="interleave"):
+        block_matrix([[z((1, 0), (0, 1)), z((1, 0), (1, 0))]])
+
+
+def test_block_matrix_zero_block_keeps_its_column_grading(grassmann2):
+    # a zero entry has both parities, so only the block's own grading can
+    # show that its column is odd where the block above has an even one
+    top = SuperMatrix.identity(grassmann2, 1, 0)
+    with pytest.raises(ShapeMismatch, match="column parity"):
+        block_matrix([[top], [_zeros(grassmann2, (0, 1), (0, 1))]])
 
 
 def test_schur_inverse_matches_expansion(grassmann2):

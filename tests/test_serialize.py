@@ -1,14 +1,16 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import fraction_parse_coeff, fraction_parse_element, fraction_parse_matrix, json_canonical_dumps
-from sgq import BlockProfile, SchemaError, SuperRing
+from sgq import BlockProfile, GaussianRational, GrassmannianPoint, LimitExceeded, SchemaError, SuperMatrix, SuperRing
 from sgq.flag import NCoordinates
 from sgq.sampling import random_big_cell, random_big_cell_point, random_element, random_ncoords, trial_rng
 from sgq.serialize import (
     canonical_dumps,
+    encode_coeff,
     encode_element,
     encode_grassmann_point,
     encode_matrix,
@@ -140,6 +142,42 @@ def test_rational_point_accepts_gaussian_objects():
     parsed = parse_rational_point({"values": {"x": {"re": "1/2", "im": "-3"}}})
     value = parsed.values["x"]
     assert str(value.re) == "1/2" and str(value.im) == "-3"
+
+
+# 1/10^4300: a denominator of 4,301 digits, one more than reading accepts
+_UNREADABLE = GaussianRational(0, Fraction(1, 10 ** 4300))
+_TOO_LONG = ": 4301 digits, over the 4300 that reading accepts"
+
+
+def test_encoders_name_a_coefficient_too_long_to_read(grassmann4):
+    ring = grassmann4
+    big = ring.scalar(_UNREADABLE)
+    cases = [
+        (lambda: encode_coeff(_UNREADABLE), ".im"),
+        (lambda: encode_element(ring.one() + big * ring.gen("t1") * ring.gen("t2")), ".terms[1].coeff.im"),
+        (lambda: encode_rational_point(RationalPoint({"x": 1, "y": Fraction(1, 10 ** 4300)})), ".values[y]"),
+    ]
+    coords = random_ncoords(ring, BP, trial_rng(3, "nc", 0))
+    v = SuperMatrix(ring, coords.v.shape, [[big]])
+    cases.append((lambda: encode_ncoords(NCoordinates(BP, coords.u, coords.eta, coords.xi, v)),
+                  ".v.entries[0][0].terms[0].coeff.im"))
+    point = random_big_cell_point(ring, BP, trial_rng(3, "pt", 0))
+    first = next(j for j, e in enumerate(point.span.entries[1]) if e.terms)
+    span = SuperMatrix(ring, point.span.shape, [point.span.entries[0], [e * big for e in point.span.entries[1]],
+                                                 *point.span.entries[2:]])
+    cases.append((lambda: encode_grassmann_point(GrassmannianPoint(BP, span)), f".span.entries[1][{first}].terms[0].coeff.im"))
+    fiber = SuperRing(["x"], ["s"])
+    pres = Presentation(SuperRing(), ["x"], ["s"], [fiber.gen("x") - fiber.one()], [fiber.gen("s") * _UNREADABLE])
+    cases.append((lambda: encode_presentation(pres), ".relations_odd[0].terms[0].coeff.im"))
+    for encode, locus in cases:
+        with pytest.raises(LimitExceeded) as err:
+            encode()
+        assert str(err.value) == locus + _TOO_LONG
+
+
+def test_a_coefficient_at_the_reading_limit_is_written():
+    value = GaussianRational(-(10 ** 4299), Fraction(1, 10 ** 4299))
+    assert parse_coeff(encode_coeff(value)) == value
 
 
 def test_canonical_dump_is_stable(grassmann4):

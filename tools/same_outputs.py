@@ -19,8 +19,9 @@ whose body has rank 5 < r.  The `coset-eq` runs compare g with g*p, with
 another coset, with a singular g1 and with matrices of the wrong shape.
 The `minv` and `ber` inputs also cover the row swaps and the stall of the
 even-block elimination, over a ring with an even generator a stall whose
-determinant is still a unit, and a (2|2) matrix whose Gaussian coefficients
-have distinct denominators.  Further `ber` runs read coefficients outside
+determinant is still a unit, a (2|2) matrix whose Gaussian coefficients
+have distinct denominators, and a dense (4|4) matrix over q = 4 odd and one
+even generator whose souls carry powers of it, with such coefficients.  Further `ber` runs read coefficients outside
 the written form (signs, spaces, decimals, underscores, leading zeros,
 non-ASCII digits, zero and negative denominators, 5,000 digits) and
 embedded rings that differ from the written one, and documents that hold
@@ -31,6 +32,7 @@ the exit status, stderr and output document of one invocation.
 import contextlib
 import io
 from fractions import Fraction
+from itertools import combinations
 import json
 import os
 import sys
@@ -188,6 +190,31 @@ def gaussian_commands():
     cli("ber_gaussian", "ber", "--in", path)
 
 
+def dense_gaussian_commands():
+    # (4|4), q = 4, over a ring with one even generator: every entry is
+    # dense in its parity, its souls carry powers of x, and each coefficient
+    # has its own denominators on both parts; the bodies are constant with a
+    # dominant diagonal, so the matrix is invertible
+    ring = SuperRing(["x"], ["t1", "t2", "t3", "t4"])
+    masks = {p: [odd for size in range(p, 5, 2) for odd in combinations(range(4), size)] for p in (0, 1)}
+    shape = SuperShape((4, 4), (4, 4))
+    rows = []
+    for i in range(8):
+        row = []
+        for j in range(8):
+            parity = (shape.row_parity(i) + shape.col_parity(j)) % 2
+            terms = {}
+            for k, odd in enumerate(masks[parity]):
+                c = 8 * i + j + 3 * k + 1
+                re = Fraction(c + 40 if i == j and not odd else (-1) ** k * (c % 7 + 1), c % 5 + 2)
+                terms[((k % 3 if odd else 0,), odd)] = GaussianRational(re, Fraction(k - 3, 2 * c + 3))
+            row.append(ring.element(terms))
+        rows.append(row)
+    path = write_input("dense44.x.json", serialize.encode_matrix(SuperMatrix(ring, shape, rows)))
+    cli("minv_dense44_gaussian", "minv", "--in", path)
+    cli("ber_dense44_gaussian", "ber", "--in", path)
+
+
 def superlinalg_commands():
     for m, n, q, count in ((2, 2, 2, 3), (3, 2, 2, 3), (2, 3, 3, 3), (5, 5, 2, 1)):
         for index in range(count):
@@ -314,6 +341,7 @@ if __name__ == "__main__":
     coset_eq_commands()
     superlinalg_commands()
     gaussian_commands()
+    dense_gaussian_commands()
     stall_commands()
     coefficient_commands()
     fault_order_commands()
