@@ -7,21 +7,33 @@ keeps bodies numeric and invertibility certain.  Every generator takes an
 explicit random.Random, and `trial_rng` derives an independent state from
 (seed, label, trial index), so trials can run in any order or in parallel
 and still reproduce bit-identically.
+
+The draw order is fixed: each generator makes the same `rng` calls in the
+same order, so a seed names one value for good.  Values are built directly
+from the drawn numbers: coefficients as canonical triples, odd monomials as
+masks, elements and matrices without the validating constructors, whose
+checks hold by construction here (nonzero coefficients, homogeneous souls,
+the parity pattern).  Numeric draws are tested for invertibility by one
+elimination over Q(i) each, and (I + S) B is formed entry by entry, B being
+numeric and block diagonal.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from random import Random
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from .algebra import SuperElement, SuperRing
 from .flag import BlockProfile, NCoordinates, assemble
 from .grassmannian import GrassmannianPoint, chart_up
-from .matrix import SuperMatrix, SuperShape, block_matrix, det_even, is_invertible
-from .scalars import GaussianRational
+from .matrix import SuperMatrix, SuperShape, independent_rows
+from .scalars import GaussianRational, from_ratios
 
 DEFAULT_COEFF_BOUND = 4
+
+# the blocks of the standard parabolic that are not forced to zero
+_PARABOLIC_FREE = frozenset({(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3),
+                             (4, 1), (4, 2), (4, 3), (4, 4)})
 
 
 def trial_rng(seed: int, label: str, index: int) -> Random:
@@ -29,13 +41,16 @@ def trial_rng(seed: int, label: str, index: int) -> Random:
     return Random(f"{seed}:{label}:{index}")
 
 
-def random_fraction(rng: Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+def random_fraction(rng: Random, bound: int) -> Tuple[int, int]:
+    """(numerator, denominator) of a random rational, not reduced: every
+    coefficient bound is drawn here."""
+    return rng.randint(-bound, bound), rng.randint(1, bound)
 
 
 def random_scalar(rng: Random, bound: int = DEFAULT_COEFF_BOUND) -> GaussianRational:
-    im = random_fraction(rng, bound) if rng.random() < 0.25 else 0
-    return GaussianRational(random_fraction(rng, bound), im)
+    b, d2 = random_fraction(rng, bound) if rng.random() < 0.25 else (0, 1)
+    a, d1 = random_fraction(rng, bound)
+    return from_ratios(a, d1, b, d2)
 
 
 def random_nonzero_scalar(rng: Random, bound: int = DEFAULT_COEFF_BOUND) -> GaussianRational:
@@ -49,15 +64,30 @@ def _random_exp(ring: SuperRing, rng: Random):
     return tuple(rng.choice((0, 0, 1, 2)) for _ in range(ring.n_even))
 
 
-def _random_odd_subset(ring: SuperRing, rng: Random, parity: Optional[int], nonempty: bool):
-    q = ring.n_odd
+def _random_odd_mask(ring: SuperRing, rng: Random, parity: Optional[int], nonempty: bool) -> int:
+    random = rng.random
+    bits = [1 << i for i in range(ring.n_odd)]
     while True:
-        subset = tuple(i for i in range(q) if rng.random() < 0.5)
-        if nonempty and not subset:
+        mask = 0
+        for bit in bits:
+            if random() < 0.5:
+                mask |= bit
+        if nonempty and not mask:
             continue
-        if parity is not None and len(subset) % 2 != parity:
+        if parity is not None and mask.bit_count() & 1 != parity:
             continue
-        return subset
+        return mask
+
+
+def _nonzero(ring: SuperRing, terms) -> SuperElement:
+    return SuperElement(ring, {key: c for key, c in terms.items() if c})
+
+
+def _plus_constant(ring: SuperRing, value: GaussianRational, soul: SuperElement) -> SuperElement:
+    """value + soul, for a soul without a body term."""
+    if not value:
+        return soul
+    return SuperElement(ring, {((0,) * ring.n_even, 0): value, **soul.terms})
 
 
 def random_element(ring: SuperRing, rng: Random, max_terms: int = 3,
@@ -65,9 +95,9 @@ def random_element(ring: SuperRing, rng: Random, max_terms: int = 3,
     """An arbitrary (usually inhomogeneous) element."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        key = (_random_exp(ring, rng), _random_odd_subset(ring, rng, None, False))
+        key = (_random_exp(ring, rng), _random_odd_mask(ring, rng, None, False))
         terms[key] = random_scalar(rng, bound)
-    return ring.element(terms)
+    return _nonzero(ring, terms)
 
 
 def random_homogeneous(ring: SuperRing, rng: Random, parity: int, max_terms: int = 3,
@@ -76,9 +106,9 @@ def random_homogeneous(ring: SuperRing, rng: Random, parity: int, max_terms: int
         return ring.zero()
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        key = (_random_exp(ring, rng), _random_odd_subset(ring, rng, parity, parity == 1))
+        key = (_random_exp(ring, rng), _random_odd_mask(ring, rng, parity, parity == 1))
         terms[key] = random_scalar(rng, bound)
-    return ring.element(terms)
+    return _nonzero(ring, terms)
 
 
 def random_soul(ring: SuperRing, rng: Random, parity: Optional[int] = None, max_terms: int = 2,
@@ -86,52 +116,55 @@ def random_soul(ring: SuperRing, rng: Random, parity: Optional[int] = None, max_
     """Body-free element; optionally homogeneous of the given parity."""
     if ring.n_odd == 0 or (parity == 0 and ring.n_odd < 2):
         return ring.zero()
+    exp = (0,) * ring.n_even
     terms = {}
     n_terms = 1 if max_terms == 1 or rng.random() < 0.67 else rng.randint(2, max_terms)
     for _ in range(n_terms):
-        # nonempty even-parity subsets automatically have size >= 2
-        subset = _random_odd_subset(ring, rng, parity, True)
-        terms[((0,) * ring.n_even, subset)] = random_scalar(rng, bound)
-    return ring.element(terms)
+        # nonempty even-parity masks automatically have two bits or more
+        mask = _random_odd_mask(ring, rng, parity, True)
+        terms[(exp, mask)] = random_scalar(rng, bound)
+    return _nonzero(ring, terms)
 
 
 def random_unit(ring: SuperRing, rng: Random, bound: int = DEFAULT_COEFF_BOUND) -> SuperElement:
-    return ring.scalar(random_nonzero_scalar(rng, bound)) + random_soul(ring, rng, parity=0, bound=bound)
+    value = random_nonzero_scalar(rng, bound)
+    return _plus_constant(ring, value, random_soul(ring, rng, parity=0, bound=bound))
 
 
-def _random_numeric_invertible(ring: SuperRing, rng: Random, size: int, parity: int,
-                               bound: int, leading: int = 0, trailing: int = 0) -> SuperMatrix:
-    """Numeric matrix with nonzero determinant; optionally the leading or
-    trailing principal minor of the given size must be nonzero too."""
-    shape = SuperShape((size, 0), (size, 0)) if parity == 0 else SuperShape((0, size), (0, size))
+def random_element_even(ring: SuperRing, rng: Random, bound: int = DEFAULT_COEFF_BOUND) -> SuperElement:
+    value = random_scalar(rng, bound)
+    return _plus_constant(ring, value, random_soul(ring, rng, parity=0, bound=bound))
+
+
+def _full_rank(rows) -> bool:
+    return len(independent_rows(rows)) == len(rows)
+
+
+def _random_numeric_invertible(rng: Random, size: int, bound: int,
+                               leading: int = 0, trailing: int = 0) -> List[List[GaussianRational]]:
+    """The rows over Q(i) of a matrix with nonzero determinant; optionally the
+    leading or trailing principal minor of the given size is nonzero too."""
+    lo = size - trailing
     while True:
-        rows = [[ring.scalar(random_scalar(rng, bound)) for _ in range(size)] for _ in range(size)]
-        matrix = SuperMatrix(ring, shape, rows)
-        if not det_even(matrix).is_unit():
+        rows = [[random_scalar(rng, bound) for _ in range(size)] for _ in range(size)]
+        if leading and not _full_rank([row[:leading] for row in rows[:leading]]):
             continue
-        if leading and not det_even(matrix.select(range(leading), range(leading))).is_unit():
+        if trailing and not _full_rank([row[lo:] for row in rows[lo:]]):
             continue
-        if trailing:
-            lo = size - trailing
-            if not det_even(matrix.select(range(lo, size), range(lo, size))).is_unit():
-                continue
-        return matrix
+        if _full_rank(rows):
+            return rows
 
 
 def _soul_perturbation(ring: SuperRing, rng: Random, m: int, n: int, bound: int,
                        density: float = 0.5) -> SuperMatrix:
-    shape = SuperShape((m, n), (m, n))
+    zero = ring.zero()
     rows = []
     for i in range(m + n):
-        row = []
-        for j in range(m + n):
-            if rng.random() < density:
-                parity = (shape.row_parity(i) + shape.col_parity(j)) % 2
-                row.append(random_soul(ring, rng, parity=parity, bound=bound))
-            else:
-                row.append(ring.zero())
-        rows.append(row)
-    return SuperMatrix(ring, shape, rows)
+        odd_row = i >= m
+        rows.append([random_soul(ring, rng, parity=odd_row ^ (j >= m), bound=bound)
+                     if rng.random() < density else zero
+                     for j in range(m + n)])
+    return SuperMatrix._raw(ring, SuperShape((m, n), (m, n)), rows)
 
 
 def random_invertible(ring: SuperRing, rng: Random, m: int, n: int,
@@ -143,66 +176,77 @@ def random_invertible(ring: SuperRing, rng: Random, m: int, n: int,
 
 def random_big_cell(ring: SuperRing, bp: BlockProfile, rng: Random,
                     bound: int = DEFAULT_COEFF_BOUND) -> SuperMatrix:
-    """Invertible matrix whose (1,1) and (4,4) corner bodies are invertible."""
-    a0 = _random_numeric_invertible(ring, rng, bp.m, 0, bound, leading=bp.r)
-    d0 = _random_numeric_invertible(ring, rng, bp.n, 1, bound, trailing=bp.s)
-    zero_tr = SuperMatrix.zeros(ring, SuperShape((bp.m, 0), (0, bp.n)))
-    zero_bl = SuperMatrix.zeros(ring, SuperShape((0, bp.n), (bp.m, 0)))
-    body = block_matrix([[a0, zero_tr], [zero_bl, d0]])
-    eye = SuperMatrix.identity(ring, bp.m, bp.n)
-    return (eye + _soul_perturbation(ring, rng, bp.m, bp.n, bound)) * body
+    """Invertible matrix whose (1,1) and (4,4) corner bodies are invertible:
+    (I + S) B for a soul perturbation S and the numeric body B = diag(A0, D0)."""
+    m = bp.m
+    a0 = _random_numeric_invertible(rng, m, bound, leading=bp.r)
+    d0 = _random_numeric_invertible(rng, bp.n, bound, trailing=bp.s)
+    soul = _soul_perturbation(ring, rng, m, bp.n, bound).entries
+    body_key = ((0,) * ring.n_even, 0)
+    rows = []
+    for i, soul_row in enumerate(soul):
+        row = []
+        # entry (i, j) is B[i][j] when i lies in j's block, plus S[i][k] B[k][j]
+        # over the k of j's block; S has no body, so no term meets B[i][j]
+        for block, lo in ((a0, 0), (d0, m)):
+            size = len(block)
+            inside = lo <= i < lo + size
+            for j in range(size):
+                value = block[i - lo][j] if inside else None
+                terms = {body_key: value} if value else {}
+                for k in range(size):
+                    scale = block[k][j]
+                    if not scale:
+                        continue
+                    for key, c in soul_row[lo + k].terms.items():
+                        held = terms.get(key)
+                        total = c * scale if held is None else held + c * scale
+                        if total:
+                            terms[key] = total
+                        elif held is not None:
+                            del terms[key]
+                row.append(SuperElement(ring, terms))
+        rows.append(row)
+    return SuperMatrix._raw(ring, bp.square_shape, rows)
 
 
 def random_parabolic(ring: SuperRing, bp: BlockProfile, rng: Random,
                      bound: int = DEFAULT_COEFF_BOUND) -> SuperMatrix:
-    """Random invertible member of the standard parabolic."""
-    free = {(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3),
-            (4, 1), (4, 2), (4, 3), (4, 4)}
-    sizes = bp.sizes
-    grid = []
+    """Random invertible member of the standard parabolic, drawn block by block."""
+    zero = ring.zero()
+    size = bp.m + bp.n
+    rows = [[zero] * size for _ in range(size)]
     for i in range(1, 5):
-        row = []
         for j in range(1, 5):
-            rp, cp = bp.block_parity(i), bp.block_parity(j)
-            shape = bp.block_shape(i, j)
-            if (i, j) not in free:
-                row.append(SuperMatrix.zeros(ring, shape))
-            elif i == j:
-                numeric = _random_numeric_invertible(ring, rng, sizes[i - 1], rp, bound)
-                soul = SuperMatrix(ring, shape, [
-                    [random_soul(ring, rng, parity=0, bound=bound) for _ in range(sizes[i - 1])]
-                    for _ in range(sizes[i - 1])
-                ])
-                row.append(numeric + soul)
-            else:
-                parity = (rp + cp) % 2
-                entries = [
-                    [random_soul(ring, rng, parity=parity, bound=bound) if parity
-                     else random_element_even(ring, rng, bound)
-                     for _ in range(sizes[j - 1])]
-                    for _ in range(sizes[i - 1])
-                ]
-                row.append(SuperMatrix(ring, shape, entries))
-        grid.append(row)
-    return block_matrix(grid)
-
-
-def random_element_even(ring: SuperRing, rng: Random, bound: int = DEFAULT_COEFF_BOUND) -> SuperElement:
-    return ring.scalar(random_scalar(rng, bound)) + random_soul(ring, rng, parity=0, bound=bound)
+            if (i, j) not in _PARABOLIC_FREE:
+                continue
+            cols = bp.block_range(j)
+            if i == j:
+                numeric = _random_numeric_invertible(rng, len(cols), bound)
+                for row, values in zip(bp.block_range(i), numeric):
+                    for col, value in zip(cols, values):
+                        rows[row][col] = _plus_constant(ring, value, random_soul(ring, rng, parity=0, bound=bound))
+                continue
+            odd = (bp.block_parity(i) + bp.block_parity(j)) % 2
+            for row in bp.block_range(i):
+                for col in cols:
+                    rows[row][col] = (random_soul(ring, rng, parity=1, bound=bound) if odd
+                                      else random_element_even(ring, rng, bound))
+    return SuperMatrix._raw(ring, bp.square_shape, rows)
 
 
 def random_ncoords(ring: SuperRing, bp: BlockProfile, rng: Random,
                    bound: int = DEFAULT_COEFF_BOUND) -> NCoordinates:
     def fill(i, j):
         shape = bp.block_shape(i, j)
-        parity = (bp.block_parity(i) + bp.block_parity(j)) % 2
+        odd = (bp.block_parity(i) + bp.block_parity(j)) % 2
         entries = [
-            [random_soul(ring, rng, parity=parity, bound=bound) if parity
+            [random_soul(ring, rng, parity=1, bound=bound) if odd
              else random_element_even(ring, rng, bound)
              for _ in range(shape.n_cols)]
             for _ in range(shape.n_rows)
         ]
-        return SuperMatrix(ring, shape, entries)
+        return SuperMatrix._raw(ring, shape, entries)
 
     return NCoordinates(bp, fill(2, 1), fill(2, 4), fill(3, 1), fill(3, 4))
 

@@ -244,13 +244,26 @@ def parse_ring(obj, where="ring") -> SuperRing:
     return _parse(where, _read_ring, obj)
 
 
+# an int below 2**2126 < 10**640 has at most 640 digits
+_ALWAYS_READABLE_BITS = 2126
+
+
 def encode_element(element: SuperElement) -> Dict:
+    """The written element.  A coefficient or exponent too long to read back
+    raises LimitExceeded with its locus, ".terms[k].coeff.re" or ".terms[k].exp[i]"."""
     terms = []
     try:
         for (exp, odd), coeff in element.sorted_terms():
-            terms.append({"coeff": encode_coeff(coeff), "exp": list(exp), "odd": list(odd)})
+            try:
+                written = encode_coeff(coeff)
+            except LimitExceeded as exc:
+                raise LimitExceeded(f".coeff{exc}") from None
+            if exp and max(exp).bit_length() > _ALWAYS_READABLE_BITS:
+                for i, e in enumerate(exp):
+                    _check_readable(ratio_str(e, 1), f".exp[{i}]")
+            terms.append({"coeff": written, "exp": list(exp), "odd": list(odd)})
     except LimitExceeded as exc:
-        raise LimitExceeded(f".terms[{len(terms)}].coeff{exc}") from None
+        raise LimitExceeded(f".terms[{len(terms)}]{exc}") from None
     return {"ring": encode_ring(element.ring), "terms": terms}
 
 

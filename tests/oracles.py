@@ -22,6 +22,7 @@ from sgq import (
     SuperRing,
     SuperShape,
     block_matrix,
+    det_even,
     inv_even,
     is_invertible,
     split_blocks,
@@ -345,3 +346,133 @@ def fraction_parse_matrix(obj, ring=None, where="matrix"):
         return SuperMatrix(ring, shape, entries)
     except SgqError as exc:
         raise SchemaError(f"{where}: {exc}") from None
+
+
+# -- the samplers before values were built straight from the draws ---------------
+#
+# Each draw goes through Fraction, ring.element and the validating SuperMatrix
+# constructor, and numeric draws are tested with det_even; (I + S) B is a sum
+# and a supermatrix product.  The rng calls are the ones `sgq.sampling` makes.
+
+
+def validating_random_fraction(rng, bound):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def validating_random_scalar(rng, bound):
+    im = validating_random_fraction(rng, bound) if rng.random() < 0.25 else 0
+    return GaussianRational(validating_random_fraction(rng, bound), im)
+
+
+def _validating_odd_subset(ring, rng, parity, nonempty):
+    q = ring.n_odd
+    while True:
+        subset = tuple(i for i in range(q) if rng.random() < 0.5)
+        if nonempty and not subset:
+            continue
+        if parity is not None and len(subset) % 2 != parity:
+            continue
+        return subset
+
+
+def validating_random_soul(ring, rng, parity=None, max_terms=2, bound=4):
+    if ring.n_odd == 0 or (parity == 0 and ring.n_odd < 2):
+        return ring.zero()
+    terms = {}
+    n_terms = 1 if max_terms == 1 or rng.random() < 0.67 else rng.randint(2, max_terms)
+    for _ in range(n_terms):
+        subset = _validating_odd_subset(ring, rng, parity, True)
+        terms[((0,) * ring.n_even, subset)] = validating_random_scalar(rng, bound)
+    return ring.element(terms)
+
+
+def _validating_element_even(ring, rng, bound):
+    return ring.scalar(validating_random_scalar(rng, bound)) + validating_random_soul(ring, rng, 0, bound=bound)
+
+
+def validating_numeric_invertible(ring, rng, size, parity, bound, leading=0, trailing=0):
+    shape = SuperShape((size, 0), (size, 0)) if parity == 0 else SuperShape((0, size), (0, size))
+    while True:
+        rows = [[ring.scalar(validating_random_scalar(rng, bound)) for _ in range(size)] for _ in range(size)]
+        matrix = SuperMatrix(ring, shape, rows)
+        if not det_even(matrix).is_unit():
+            continue
+        if leading and not det_even(matrix.select(range(leading), range(leading))).is_unit():
+            continue
+        if trailing:
+            lo = size - trailing
+            if not det_even(matrix.select(range(lo, size), range(lo, size))).is_unit():
+                continue
+        return matrix
+
+
+def validating_soul_perturbation(ring, rng, m, n, bound, density=0.5):
+    shape = SuperShape((m, n), (m, n))
+    rows = []
+    for i in range(m + n):
+        row = []
+        for j in range(m + n):
+            if rng.random() < density:
+                parity = (shape.row_parity(i) + shape.col_parity(j)) % 2
+                row.append(validating_random_soul(ring, rng, parity=parity, bound=bound))
+            else:
+                row.append(ring.zero())
+        rows.append(row)
+    return SuperMatrix(ring, shape, rows)
+
+
+def validating_big_cell(ring, bp, rng, bound):
+    a0 = validating_numeric_invertible(ring, rng, bp.m, 0, bound, leading=bp.r)
+    d0 = validating_numeric_invertible(ring, rng, bp.n, 1, bound, trailing=bp.s)
+    zero_tr = SuperMatrix.zeros(ring, SuperShape((bp.m, 0), (0, bp.n)))
+    zero_bl = SuperMatrix.zeros(ring, SuperShape((0, bp.n), (bp.m, 0)))
+    body = block_matrix([[a0, zero_tr], [zero_bl, d0]])
+    eye = SuperMatrix.identity(ring, bp.m, bp.n)
+    return (eye + validating_soul_perturbation(ring, rng, bp.m, bp.n, bound)) * body
+
+
+def validating_parabolic(ring, bp, rng, bound):
+    free = {(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3),
+            (4, 1), (4, 2), (4, 3), (4, 4)}
+    sizes = bp.sizes
+    grid = []
+    for i in range(1, 5):
+        row = []
+        for j in range(1, 5):
+            rp, cp = bp.block_parity(i), bp.block_parity(j)
+            shape = bp.block_shape(i, j)
+            if (i, j) not in free:
+                row.append(SuperMatrix.zeros(ring, shape))
+            elif i == j:
+                numeric = validating_numeric_invertible(ring, rng, sizes[i - 1], rp, bound)
+                soul = SuperMatrix(ring, shape, [
+                    [validating_random_soul(ring, rng, parity=0, bound=bound) for _ in range(sizes[i - 1])]
+                    for _ in range(sizes[i - 1])
+                ])
+                row.append(numeric + soul)
+            else:
+                parity = (rp + cp) % 2
+                entries = [
+                    [validating_random_soul(ring, rng, parity=parity, bound=bound) if parity
+                     else _validating_element_even(ring, rng, bound)
+                     for _ in range(sizes[j - 1])]
+                    for _ in range(sizes[i - 1])
+                ]
+                row.append(SuperMatrix(ring, shape, entries))
+        grid.append(row)
+    return block_matrix(grid)
+
+
+def validating_ncoords(ring, bp, rng, bound):
+    def fill(i, j):
+        shape = bp.block_shape(i, j)
+        parity = (bp.block_parity(i) + bp.block_parity(j)) % 2
+        entries = [
+            [validating_random_soul(ring, rng, parity=parity, bound=bound) if parity
+             else _validating_element_even(ring, rng, bound)
+             for _ in range(shape.n_cols)]
+            for _ in range(shape.n_rows)
+        ]
+        return SuperMatrix(ring, shape, entries)
+
+    return NCoordinates(bp, fill(2, 1), fill(2, 4), fill(3, 1), fill(3, 4))

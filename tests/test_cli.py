@@ -248,6 +248,27 @@ def test_result_digits_at_the_reading_limit(ring, tmp_path, a, b, digits):
     assert read(out)["result"]["terms"][0]["coeff"] == coeff
 
 
+@pytest.mark.parametrize("exponent, digits", [(10 ** 4299, 4300), (5 * 10 ** 4299, 4301)])
+def test_result_exponent_digits_at_the_reading_limit(tmp_path, exponent, digits):
+    # Ber of diag(x^E, x^E) is x^(2E): written, and read back, up to 4,300 digits
+    ring = SuperRing(["x"], [])
+    power = ring.element({((exponent,), 0): 1})
+    out = tmp_path / "ber.json"
+    code = run_cli("ber", "--in", str(_diagonal_doc(tmp_path, power)), "--out", str(out))
+    if digits > 4300:
+        assert code == 1
+        assert read(out)["error"] == {"name": "LimitExceeded",
+                                      "detail": "result.terms[0].exp[0]: 4301 digits, over the 4300 that reading accepts"}
+        return
+    assert code == 0
+    result = read(out)["result"]
+    assert result["terms"][0]["exp"] == [2 * exponent]
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps({"shape": {"rows": [1, 0], "cols": [1, 0]}, "entries": [[result]]}))
+    assert run_cli("ber", "--in", str(again), "--out", str(out)) == 0
+    assert read(out)["result"] == result
+
+
 def test_inverse_entry_over_the_digit_limit_names_its_place(ring, tmp_path):
     # the inverse of a unitriangular (3|0) matrix holds the product of its two
     # 2,151-digit entries, 4,301 digits, at (0, 2)

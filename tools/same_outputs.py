@@ -7,7 +7,10 @@ checkout's `src/` and `bench/` first on the import path at start-up.
 
 Run it once on each of two checkouts, then compare with `diff -r -x _work`.
 It covers `run_suite("all", 3, seed)` for seeds 0-3 at the default size and
-at (3, 2 | 2, 1), q = 5, and the `factor`, `orbit`, `chart-down`,
+at (3, 2 | 2, 1), q = 5, and for seeds 0-1 at (3, 0 | 3, 0), q = 2,
+(1, 2 | 0, 2), q = 1, (2, 2 | 0, 0), q = 0 and (2, 1 | 2, 0), q = 3, where
+the samplers meet empty parts and corner minors of size 0 and full size,
+and the `factor`, `orbit`, `chart-down`,
 `coset-eq`, `minv`, `ber` and `smooth` commands on inputs from the
 checkout's `bench/inputs.py`, including inputs that end in `NotInBigCell`,
 `NotInvertible`, `NotAPoint`, `UnassignedVariable`, `ShapeMismatch` and
@@ -88,6 +91,13 @@ def proptest_reports():
     for label, size in (("default", None), ("m3n2r2s1q5", {"m": 3, "n": 2, "r": 2, "s": 1, "q": 5})):
         for seed in range(4):
             put(f"proptest_{label}_{seed}.json", serialize.canonical_dumps(run_suite("all", 3, seed, size)))
+    # the samplers' edge paths: empty odd or even parts, no odd generators,
+    # and corner minors of size 0 and of full size
+    for m, n, r, s, q in ((3, 0, 3, 0, 2), (1, 2, 0, 2, 1), (2, 2, 0, 0, 0), (2, 1, 2, 0, 3)):
+        size = {"m": m, "n": n, "r": r, "s": s, "q": q}
+        for seed in range(2):
+            put(f"proptest_m{m}n{n}r{r}s{s}q{q}_{seed}.json",
+                serialize.canonical_dumps(run_suite("all", 3, seed, size)))
 
 
 def coset_commands():
