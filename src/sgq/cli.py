@@ -19,7 +19,7 @@ import sys
 from typing import Optional
 
 from . import serialize
-from .errors import LimitExceeded, SchemaError, SgqError
+from .errors import SchemaError, SgqError
 from .flag import BlockProfile, cosets_equal, normal_form
 from .grassmannian import chart_down, chart_up, orbit_map
 from .matrix import berezinian, sm_inv
@@ -54,22 +54,12 @@ def _load(path: str):
         raise SchemaError(f"{path} nests arrays or objects too deeply to read") from None
 
 
-def _emit(doc, out_path: Optional[str]) -> None:
-    text = serialize.canonical_dumps(doc)
+def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _encoded(key: str, encode, value):
-    """{key: encode(value)}; a coefficient too long to read back is a domain
-    error whose locus starts at key."""
-    try:
-        return {key: encode(value)}
-    except LimitExceeded as exc:
-        raise LimitExceeded(f"{key}{exc}") from None
 
 
 def _block_profile(values, flag: str) -> BlockProfile:
@@ -87,23 +77,19 @@ def _profile_arg(args) -> BlockProfile:
 
 def _run_ber(args):
     matrix = serialize.parse_matrix(_load(args.in_path))
-    return _encoded("result", serialize.encode_element, berezinian(matrix))
+    return {"result": berezinian(matrix)}
 
 
 def _run_minv(args):
     matrix = serialize.parse_matrix(_load(args.in_path))
-    return _encoded("result", serialize.encode_matrix, sm_inv(matrix))
+    return {"result": sm_inv(matrix)}
 
 
 def _run_factor(args):
     bp = _profile_arg(args)
     matrix = serialize.parse_matrix(_load(args.in_path))
     coords, parabolic = normal_form(matrix, bp)
-    return {
-        "profile": serialize.encode_profile(bp),
-        **_encoded("n", serialize.encode_ncoords, coords),
-        **_encoded("p", serialize.encode_matrix, parabolic),
-    }
+    return {"profile": bp, "n": coords, "p": parabolic}
 
 
 def _run_coset_eq(args):
@@ -112,13 +98,13 @@ def _run_coset_eq(args):
         raise SchemaError("coset-eq requires --in2 with the second matrix")
     g1 = serialize.parse_matrix(_load(args.in_path))
     g2 = serialize.parse_matrix(_load(args.in2_path))
-    return {"profile": serialize.encode_profile(bp), "equal": cosets_equal(g1, g2, bp)}
+    return {"profile": bp, "equal": cosets_equal(g1, g2, bp)}
 
 
 def _run_orbit(args):
     bp = _profile_arg(args)
     matrix = serialize.parse_matrix(_load(args.in_path))
-    return _encoded("result", serialize.encode_grassmann_point, orbit_map(matrix, bp))
+    return {"result": orbit_map(matrix, bp)}
 
 
 def _run_chart_up(args):
@@ -126,7 +112,7 @@ def _run_chart_up(args):
     coords = serialize.parse_ncoords(_load(args.in_path))
     if coords.profile != bp:
         raise SchemaError(f"--profile {args.profile} disagrees with the block shapes in the input")
-    return _encoded("result", serialize.encode_grassmann_point, chart_up(coords))
+    return {"result": chart_up(coords)}
 
 
 def _run_chart_down(args):
@@ -134,7 +120,7 @@ def _run_chart_down(args):
     point = serialize.parse_grassmann_point(_load(args.in_path))
     if point.profile != bp:
         raise SchemaError(f"--profile {args.profile} disagrees with the profile in the input")
-    return _encoded("result", serialize.encode_ncoords, chart_down(point))
+    return {"result": chart_down(point)}
 
 
 def _run_smooth(args):
@@ -219,6 +205,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload = _RUNNERS[args.command](args)
+        # a result too long to read back raises here, before any output
+        text = serialize.canonical_dumps({"command": args.command, "ok": True, **payload})
     except SchemaError as exc:
         sys.stderr.write(f"sgq {args.command}: {exc}\n")
         return 2
@@ -228,9 +216,9 @@ def main(argv=None) -> int:
             "ok": False,
             "error": {"name": type(exc).__name__, "detail": str(exc)},
         }
-        _emit(doc, args.out_path)
+        _emit(serialize.canonical_dumps(doc), args.out_path)
         return 1
-    _emit({"command": args.command, "ok": True, **payload}, args.out_path)
+    _emit(text, args.out_path)
     return 0
 
 

@@ -11,15 +11,25 @@ from typing import Union
 RationalLike = Union[int, Fraction, "GaussianRational"]
 
 
+# an int below 2**2126 < 10**640 has at most 640 digits, and str() writes
+# that many at any int_max_str_digits, which is 0 or at least 640
+_STR_SAFE_BITS = 2126
+
+
+def _digits(n: int) -> str:
+    return str(n) if n.bit_length() <= _STR_SAFE_BITS else str(Decimal(n))
+
+
 def ratio_str(num: int, den: int) -> str:
     """str(Fraction(num, den)), for den > 0, at any length: str() of an int
     stops at the interpreter's int_max_str_digits (4300 by default), Decimal
     does not."""
-    g = gcd(num, den)
-    if g != 1:
-        num, den = num // g, den // g
-    digits = str(Decimal(num))
-    return digits if den == 1 else f"{digits}/{Decimal(den)}"
+    if den != 1:
+        g = gcd(num, den)
+        if g != 1:
+            num, den = num // g, den // g
+    digits = _digits(num)
+    return digits if den == 1 else f"{digits}/{_digits(den)}"
 
 
 def rational_str(value: Fraction) -> str:

@@ -4,10 +4,10 @@ All coefficients travel as exact strings ("n" or "n/d" in lowest terms);
 structural counts (shapes, exponents, odd indices, profiles) are plain
 integers.  Emission is canonical — terms sorted by (exponent vector, odd
 indices), keys sorted, two-space indent — so equal values always serialize
-to identical bytes.  `canonical_dumps` writes those bytes itself, in one
-pass: they are the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
-plus a newline, which the standard library would produce through its
-pure-Python encoder.
+to identical bytes.  One writer emits them: `canonical_dumps`, from
+`sgq.writer`, which writes each value straight from its fields.  Each
+`encode_*` function gives the written document as Python objects,
+``json.loads(canonical_dumps(value))``.
 
 On input, each document is read in one walk that checks it and builds the
 value.  A coefficient in the written form goes straight to an integer
@@ -21,72 +21,24 @@ entry of the wrong parity once the whole matrix has been read.
 
 from __future__ import annotations
 
+import json
 import re
-import sys
 import textwrap
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional
 
 from .algebra import SuperElement, SuperRing, TermKey
-from .errors import LimitExceeded, SchemaError, ShapeMismatch
+from .errors import SchemaError, ShapeMismatch
 from .flag import BlockProfile, NCoordinates
 from .grassmannian import GrassmannianPoint
 from .matrix import SuperMatrix, SuperShape
-from .scalars import GaussianRational, from_ratios, from_triple, ratio_str
+from .scalars import GaussianRational, from_ratios, from_triple
 from .smoothness import Presentation, RationalPoint
+from .writer import _ring_text, canonical_dumps
 
 
-def canonical_dumps(doc) -> str:
-    """The canonical text of a document: dicts with str keys, lists, str,
-    int, bool and None.  Any other type raises TypeError."""
-    parts: List[str] = []
-    _write(doc, parts, "\n")
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _write(value, parts: List[str], newline: str) -> None:
-    # newline is "\n" plus the indent of the line that holds value
-    kind = type(value)
-    if kind is str:
-        parts.append(_quote(value))
-    elif kind is dict:
-        if not value:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        lead = "{" + inner
-        for key in sorted(value):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(lead)
-            parts.append(_quote(key))
-            parts.append(": ")
-            _write(value[key], parts, inner)
-            lead = "," + inner
-        parts.append(newline + "}")
-    elif kind is list:
-        if not value:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        lead = "[" + inner
-        for item in value:
-            parts.append(lead)
-            _write(item, parts, inner)
-            lead = "," + inner
-        parts.append(newline + "]")
-    elif kind is int:
-        parts.append(int.__repr__(value))
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif value is None:
-        parts.append("null")
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+def _document(value):
+    return json.loads(canonical_dumps(value))
 
 
 def _is_int(value) -> bool:
@@ -187,28 +139,9 @@ def _read_coeff(obj, path="") -> GaussianRational:
     return from_triple(a, b, 1) if d1 == d2 == 1 else from_ratios(a, d1, b, d2)
 
 
-# a string this short parses at any int_max_str_digits, which is 0 or >= 640
-_ALWAYS_READABLE = 640
-
-
-def _check_readable(text: str, path: str) -> None:
-    """LimitExceeded at `path` when an integer of the written coefficient `text`
-    has more digits than int() reads, so no document holding it could be read."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    for digits in text.lstrip("-").split("/"):
-        if limit and len(digits) > limit:
-            raise LimitExceeded(f"{path}: {len(digits)} digits, over the {limit} that reading accepts")
-
-
 def encode_coeff(value: GaussianRational) -> Dict[str, str]:
-    """The written coefficient.  A part with an integer too long to read back
-    raises LimitExceeded with its locus, here ".re" or ".im"; the encoders of
-    larger values put the coefficient's place in front of it."""
-    re_text, im_text = ratio_str(value.re_num, value.den), ratio_str(value.im_num, value.den)
-    if len(re_text) > _ALWAYS_READABLE or len(im_text) > _ALWAYS_READABLE:
-        _check_readable(re_text, ".re")
-        _check_readable(im_text, ".im")
-    return {"re": re_text, "im": im_text}
+    """The written coefficient as Python objects."""
+    return _document(value)
 
 
 def parse_coeff(obj, where="coeff") -> GaussianRational:
@@ -219,7 +152,14 @@ def parse_coeff(obj, where="coeff") -> GaussianRational:
 
 
 def encode_ring(ring: SuperRing) -> Dict:
-    return {"even": list(ring.even_vars), "odd": list(ring.odd_vars)}
+    """The written ring as Python objects."""
+    return _document(ring)
+
+
+def _ring_form(ring: SuperRing) -> Dict:
+    """The written ring as Python objects, built without `canonical_dumps`:
+    the readers compare each embedded ring with it."""
+    return json.loads(_ring_text(ring.even_vars, ring.odd_vars, 0))
 
 
 def _check_names(names, path: str) -> None:
@@ -244,27 +184,9 @@ def parse_ring(obj, where="ring") -> SuperRing:
     return _parse(where, _read_ring, obj)
 
 
-# an int below 2**2126 < 10**640 has at most 640 digits
-_ALWAYS_READABLE_BITS = 2126
-
-
 def encode_element(element: SuperElement) -> Dict:
-    """The written element.  A coefficient or exponent too long to read back
-    raises LimitExceeded with its locus, ".terms[k].coeff.re" or ".terms[k].exp[i]"."""
-    terms = []
-    try:
-        for (exp, odd), coeff in element.sorted_terms():
-            try:
-                written = encode_coeff(coeff)
-            except LimitExceeded as exc:
-                raise LimitExceeded(f".coeff{exc}") from None
-            if exp and max(exp).bit_length() > _ALWAYS_READABLE_BITS:
-                for i, e in enumerate(exp):
-                    _check_readable(ratio_str(e, 1), f".exp[{i}]")
-            terms.append({"coeff": written, "exp": list(exp), "odd": list(odd)})
-    except LimitExceeded as exc:
-        raise LimitExceeded(f".terms[{len(terms)}]{exc}") from None
-    return {"ring": encode_ring(element.ring), "terms": terms}
+    """The written element as Python objects."""
+    return _document(element)
 
 
 def _read_terms(raw: list, ring: SuperRing):
@@ -361,29 +283,22 @@ def _read_element(obj, ring: Optional[SuperRing], form: Optional[Dict]):
 
 
 def parse_element(obj, ring: SuperRing = None, where="element") -> SuperElement:
-    return _parse(where, _read_element, obj, ring, None if ring is None else encode_ring(ring))[0]
+    return _parse(where, _read_element, obj, ring, None if ring is None else _ring_form(ring))[0]
 
 
 # -- matrices ---------------------------------------------------------------------
 
 
 def encode_matrix(matrix: SuperMatrix) -> Dict:
-    entries: List[List[Dict]] = []
-    try:
-        for row in matrix.entries:
-            cells: List[Dict] = []
-            entries.append(cells)
-            for entry in row:
-                cells.append(encode_element(entry))
-    except LimitExceeded as exc:
-        raise LimitExceeded(f".entries[{len(entries) - 1}][{len(cells)}]{exc}") from None
-    return {"shape": {"rows": list(matrix.shape.rows), "cols": list(matrix.shape.cols)}, "entries": entries}
+    """The written matrix as Python objects."""
+    return _document(matrix)
 
 
-def _read_matrix(obj, ring: Optional[SuperRing], form: Optional[Dict]) -> SuperMatrix:
+def _read_matrix(obj, ring: Optional[SuperRing], form: Optional[Dict], empty: Optional[SuperRing] = None) -> SuperMatrix:
     """A matrix document read in one walk: each entry's parity is taken from
     its masks as it is read, and the first misplaced entry is raised only
-    once the whole matrix has passed its other checks."""
+    once the whole matrix has passed its other checks.  Without a ring, a
+    matrix with no cell takes the ring `empty`, or is a fault if it is None."""
     shape_obj = _get(obj, "shape", dict)
     rows = _get(shape_obj, "rows", list, ".shape")
     cols = _get(shape_obj, "cols", list, ".shape")
@@ -407,7 +322,7 @@ def _read_matrix(obj, ring: Optional[SuperRing], form: Optional[Dict]) -> SuperM
             except _Fault as fault:
                 raise fault.under(f".entries[{i}][{j}]")
             if ring is None:
-                ring, form = element.ring, encode_ring(element.ring)
+                ring, form = element.ring, _ring_form(element.ring)
             # an entry at an even place may hold no odd term, and vice versa
             forced = row_odd ^ (j >= cols[0])
             if parities >> (1 - forced) & 1 and misplaced is None:
@@ -415,7 +330,9 @@ def _read_matrix(obj, ring: Optional[SuperRing], form: Optional[Dict]) -> SuperM
             row.append(element)
         entries.append(row)
     if ring is None:
-        raise _Fault("", "cannot infer the ring of an empty matrix")
+        if empty is None:
+            raise _Fault("", "cannot infer the ring of an empty matrix")
+        ring = empty
     if misplaced is not None:
         i, j, forced, element = misplaced
         raise _Fault("", f"entry ({i}, {j}) must be {'odd' if forced else 'even'}: {element!r}")
@@ -423,14 +340,15 @@ def _read_matrix(obj, ring: Optional[SuperRing], form: Optional[Dict]) -> SuperM
 
 
 def parse_matrix(obj, ring: SuperRing = None, where="matrix") -> SuperMatrix:
-    return _parse(where, _read_matrix, obj, ring, None if ring is None else encode_ring(ring))
+    return _parse(where, _read_matrix, obj, ring, None if ring is None else _ring_form(ring))
 
 
 # -- profiles, coordinates, points -------------------------------------------------
 
 
 def encode_profile(bp: BlockProfile) -> Dict:
-    return {"m": bp.m, "n": bp.n, "r": bp.r, "s": bp.s}
+    """The written profile as Python objects."""
+    return _document(bp)
 
 
 def _read_profile(obj, path="") -> BlockProfile:
@@ -449,13 +367,8 @@ _BLOCKS = ("u", "eta", "xi", "v")
 
 
 def encode_ncoords(coords: NCoordinates) -> Dict:
-    doc = {}
-    try:
-        for name in _BLOCKS:
-            doc[name] = encode_matrix(getattr(coords, name))
-    except LimitExceeded as exc:
-        raise LimitExceeded(f".{name}{exc}") from None
-    return doc
+    """The written n-coordinates as Python objects."""
+    return _document(coords)
 
 
 def _peek_ring(obj) -> Optional[SuperRing]:
@@ -486,7 +399,7 @@ def _read_ncoords(obj, ring: Optional[SuperRing]) -> NCoordinates:
                 break
         else:
             ring = SuperRing()
-    form = encode_ring(ring)
+    form = _ring_form(ring)
     blocks = []
     for key in _BLOCKS:
         block = _get(obj, key, dict)
@@ -509,18 +422,17 @@ def parse_ncoords(obj, ring: SuperRing = None, where="ncoords") -> NCoordinates:
 
 
 def encode_grassmann_point(point: GrassmannianPoint) -> Dict:
-    try:
-        span = encode_matrix(point.span)
-    except LimitExceeded as exc:
-        raise LimitExceeded(f".span{exc}") from None
-    return {"profile": encode_profile(point.profile), "span": span}
+    """The written point as Python objects."""
+    return _document(point)
 
 
 def _read_grassmann_point(obj) -> GrassmannianPoint:
     profile = _read_profile(_get(obj, "profile", dict), ".profile")
     span_obj = _get(obj, "span", dict)
     try:
-        span = _read_matrix(span_obj, None, None)
+        # a span with no cell (r = s = 0) names no ring, and its chart
+        # coordinates have no cell either
+        span = _read_matrix(span_obj, None, None, SuperRing())
     except _Fault as fault:
         raise fault.under(".span")
     # a rank-deficient span is a domain error, not a schema error: let it raise
@@ -538,15 +450,8 @@ def parse_grassmann_point(obj, where="point") -> GrassmannianPoint:
 
 
 def encode_presentation(pres: Presentation) -> Dict:
-    doc = {"base": encode_ring(pres.base), "fiber": {"even": list(pres.fiber_even), "odd": list(pres.fiber_odd)}}
-    for key, relations in (("relations_even", pres.relations_even), ("relations_odd", pres.relations_odd)):
-        doc[key] = []
-        try:
-            for rel in relations:
-                doc[key].append(encode_element(rel))
-        except LimitExceeded as exc:
-            raise LimitExceeded(f".{key}[{len(doc[key])}]{exc}") from None
-    return doc
+    """The written presentation as Python objects."""
+    return _document(pres)
 
 
 def _read_presentation(obj) -> Presentation:
@@ -556,7 +461,7 @@ def _read_presentation(obj) -> Presentation:
         total = SuperRing(base.even_vars + fiber.even_vars, base.odd_vars + fiber.odd_vars)
     except ValueError as exc:
         raise _Fault("", str(exc)) from None
-    form = encode_ring(total)
+    form = _ring_form(total)
     relations = []
     for key in ("relations_even", "relations_odd"):
         relations.append([])
@@ -576,18 +481,8 @@ def parse_presentation(obj, where="presentation") -> Presentation:
 
 
 def encode_rational_point(pt: RationalPoint) -> Dict:
-    values = {}
-    for name in sorted(pt.values):
-        value = pt.values[name]
-        try:
-            if value.im_num:
-                values[name] = encode_coeff(value)
-            else:
-                values[name] = ratio_str(value.re_num, value.den)
-                _check_readable(values[name], "")
-        except LimitExceeded as exc:
-            raise LimitExceeded(f".values[{name}]{exc}") from None
-    return {"values": values}
+    """The written point as Python objects."""
+    return _document(pt)
 
 
 def _read_rational_point(obj) -> RationalPoint:

@@ -5,17 +5,25 @@ routine took its place; the tests compare the two on the same inputs.
 """
 
 import json
+import sys
 import textwrap
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from operator import add
 
 from sgq import (
+    BlockProfile,
     GaussianRational,
+    GrassmannianPoint,
+    LimitExceeded,
     SuperElement,
     NCoordinates,
     NotInBigCell,
     NotInvertible,
+    Presentation,
+    RationalPoint,
     SchemaError,
     SgqError,
     SuperMatrix,
@@ -476,3 +484,127 @@ def validating_ncoords(ring, bp, rng, bound):
         return SuperMatrix(ring, shape, entries)
 
     return NCoordinates(bp, fill(2, 1), fill(2, 4), fill(3, 1), fill(3, 4))
+
+
+# -- the dict encoders before values were written from their fields ---------------
+
+
+def _ratio_str(num, den):
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+
+
+def _dict_check_readable(text, path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for digits in text.lstrip("-").split("/"):
+        if limit and len(digits) > limit:
+            raise LimitExceeded(f"{path}: {len(digits)} digits, over the {limit} that reading accepts")
+
+
+def dict_encode_coeff(value):
+    re_text, im_text = _ratio_str(value.re_num, value.den), _ratio_str(value.im_num, value.den)
+    if len(re_text) > 640 or len(im_text) > 640:
+        _dict_check_readable(re_text, ".re")
+        _dict_check_readable(im_text, ".im")
+    return {"re": re_text, "im": im_text}
+
+
+def dict_encode_ring(ring):
+    return {"even": list(ring.even_vars), "odd": list(ring.odd_vars)}
+
+
+def dict_encode_element(element):
+    terms = []
+    try:
+        for (exp, odd), coeff in element.sorted_terms():
+            try:
+                written = dict_encode_coeff(coeff)
+            except LimitExceeded as exc:
+                raise LimitExceeded(f".coeff{exc}") from None
+            if exp and max(exp).bit_length() > 2126:
+                for i, e in enumerate(exp):
+                    _dict_check_readable(_ratio_str(e, 1), f".exp[{i}]")
+            terms.append({"coeff": written, "exp": list(exp), "odd": list(odd)})
+    except LimitExceeded as exc:
+        raise LimitExceeded(f".terms[{len(terms)}]{exc}") from None
+    return {"ring": dict_encode_ring(element.ring), "terms": terms}
+
+
+def dict_encode_matrix(matrix):
+    entries = []
+    try:
+        for row in matrix.entries:
+            cells = []
+            entries.append(cells)
+            for entry in row:
+                cells.append(dict_encode_element(entry))
+    except LimitExceeded as exc:
+        raise LimitExceeded(f".entries[{len(entries) - 1}][{len(cells)}]{exc}") from None
+    return {"shape": {"rows": list(matrix.shape.rows), "cols": list(matrix.shape.cols)}, "entries": entries}
+
+
+def dict_encode_profile(bp):
+    return {"m": bp.m, "n": bp.n, "r": bp.r, "s": bp.s}
+
+
+def dict_encode_ncoords(coords):
+    doc = {}
+    try:
+        for name in ("u", "eta", "xi", "v"):
+            doc[name] = dict_encode_matrix(getattr(coords, name))
+    except LimitExceeded as exc:
+        raise LimitExceeded(f".{name}{exc}") from None
+    return doc
+
+
+def dict_encode_grassmann_point(point):
+    try:
+        span = dict_encode_matrix(point.span)
+    except LimitExceeded as exc:
+        raise LimitExceeded(f".span{exc}") from None
+    return {"profile": dict_encode_profile(point.profile), "span": span}
+
+
+def dict_encode_presentation(pres):
+    doc = {"base": dict_encode_ring(pres.base), "fiber": {"even": list(pres.fiber_even), "odd": list(pres.fiber_odd)}}
+    for key, relations in (("relations_even", pres.relations_even), ("relations_odd", pres.relations_odd)):
+        doc[key] = []
+        try:
+            for rel in relations:
+                doc[key].append(dict_encode_element(rel))
+        except LimitExceeded as exc:
+            raise LimitExceeded(f".{key}[{len(doc[key])}]{exc}") from None
+    return doc
+
+
+def dict_encode_rational_point(pt):
+    values = {}
+    for name in sorted(pt.values):
+        value = pt.values[name]
+        try:
+            if value.im_num:
+                values[name] = dict_encode_coeff(value)
+            else:
+                values[name] = _ratio_str(value.re_num, value.den)
+                _dict_check_readable(values[name], "")
+        except LimitExceeded as exc:
+            raise LimitExceeded(f".values[{name}]{exc}") from None
+    return {"values": values}
+
+
+def dict_encode(value):
+    """The document of any value `canonical_dumps` writes, built as dicts
+    and lists, one per element, term and coefficient."""
+    encode = {
+        GaussianRational: dict_encode_coeff,
+        SuperRing: dict_encode_ring,
+        SuperElement: dict_encode_element,
+        SuperMatrix: dict_encode_matrix,
+        BlockProfile: dict_encode_profile,
+        NCoordinates: dict_encode_ncoords,
+        GrassmannianPoint: dict_encode_grassmann_point,
+        Presentation: dict_encode_presentation,
+        RationalPoint: dict_encode_rational_point,
+    }[type(value)]
+    return encode(value)

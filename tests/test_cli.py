@@ -108,6 +108,21 @@ def test_orbit_and_chart_roundtrip(ring, tmp_path):
     assert read(down_path)["result"] == read(nc_path)
 
 
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 0), (0, 2)])
+def test_orbit_then_chart_down_with_an_empty_span(ring, tmp_path, m, n):
+    # at r = s = 0 the span orbit writes has no cell to carry the ring, and
+    # the coordinates chart-down writes have none either
+    bp = BlockProfile(m, n, 0, 0)
+    profile = f"{m},{n},0,0"
+    g_path = tmp_path / "g.json"
+    g_path.write_text(canonical_dumps(random_big_cell(ring, bp, trial_rng(0, "empty span", m))))
+    orbit_path, point_path, down_path = tmp_path / "orbit.json", tmp_path / "pt.json", tmp_path / "down.json"
+    assert run_cli("orbit", "--in", str(g_path), "--out", str(orbit_path), "--profile", profile) == 0
+    point_path.write_text(canonical_dumps(read(orbit_path)["result"]))
+    assert run_cli("chart-down", "--in", str(point_path), "--out", str(down_path), "--profile", profile) == 0
+    assert read(down_path)["result"] == encode_ncoords(NCoordinates.zero(SuperRing(), bp))
+
+
 def test_smooth_command(tmp_path):
     ring = SuperRing(["x"], ["s1", "s2"])
     pres = Presentation(SuperRing(), ["x"], ["s1", "s2"],

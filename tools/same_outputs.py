@@ -28,7 +28,10 @@ even generator whose souls carry powers of it, with such coefficients.  Further 
 the written form (signs, spaces, decimals, underscores, leading zeros,
 non-ASCII digits, zero and negative denominators, 5,000 digits) and
 embedded rings that differ from the written one, and documents that hold
-two faults each, which pin the one reported.  Each `cli_*.txt` file holds
+two faults each, which pin the one reported.  The writer meets generator
+names that JSON escapes (`minv`, `ber`, `orbit` and `chart-down`), zero
+elements in an all-zero row (`factor`, `orbit`, `chart-down`; `minv` and
+`ber` of a singular matrix) and even exponents of 2 and 3.  Each `cli_*.txt` file holds
 the exit status, stderr and output document of one invocation.
 """
 
@@ -343,6 +346,45 @@ def smooth_commands():
         cli(f"smooth_{name}_no_point", "smooth", "--in", os.path.join(WORK, f"{name}_all.pres.json"))
 
 
+def writer_commands():
+    # the writer's edge cases: generator names that JSON escapes, zero
+    # elements and all-zero rows, and even exponents of 2 and more
+    g, _, _ = inputs.coset_input(SEED, 0, (2, 2, 1, 1), 4, 3)
+    ring = SuperRing([], ["\u03b8", 'a"b', "a\\b", "\U0001d703"])
+    g = SuperMatrix(ring, g.shape, [[ring.element(e.terms) for e in row] for row in g.entries])
+    path = write_input("escaped.g.json", serialize.encode_matrix(g))
+    cli("minv_escaped", "minv", "--in", path)
+    cli("ber_escaped", "ber", "--in", path)
+    orbit = json.loads(cli("orbit_escaped", "orbit", "--in", path, "--profile", "2,2,1,1"))
+    point = write_input("escaped.point.json", orbit["result"])
+    cli("chart-down_escaped", "chart-down", "--in", point, "--profile", "2,2,1,1")
+
+    # g = N whose u block has an all-zero row: factor, orbit and chart-down
+    # write it back; a g with an all-zero row is singular
+    ring = SuperRing([], ["t1", "t2"])
+    one, zero, t12 = ring.one(), ring.zero(), ring.gen("t1") * ring.gen("t2")
+    rows = [[one, zero, zero, zero], [zero, one, zero, zero], [t12, zero, one, zero], [zero, zero, zero, one]]
+    g = SuperMatrix(ring, SuperShape((3, 1), (3, 1)), rows)
+    path = write_input("zero_row.g.json", serialize.encode_matrix(g))
+    cli("factor_zero_row", "factor", "--in", path, "--profile", "3,1,1,0")
+    orbit = json.loads(cli("orbit_zero_row", "orbit", "--in", path, "--profile", "3,1,1,0"))
+    point = write_input("zero_row.point.json", orbit["result"])
+    cli("chart-down_zero_row", "chart-down", "--in", point, "--profile", "3,1,1,0")
+    singular = write_input("zero_row.x.json", serialize.encode_matrix(
+        SuperMatrix(ring, g.shape, [rows[0], [zero] * 4, rows[2], rows[3]])))
+    cli("minv_zero_row", "minv", "--in", singular)
+    cli("ber_zero_row", "ber", "--in", singular)
+
+    # results whose terms carry x^2 y^3
+    ring = SuperRing(["x", "y"], ["t1", "t2"])
+    x, y, t1, t2, one, zero = (ring.gen("x"), ring.gen("y"), ring.gen("t1"), ring.gen("t2"),
+                               ring.one(), ring.zero())
+    even = SuperMatrix(ring, SuperShape((2, 0), (2, 0)), [[one, x * x * y * y * y + t1 * t2], [zero, one]])
+    cli("minv_powers", "minv", "--in", write_input("powers.x.json", serialize.encode_matrix(even)))
+    mixed = SuperMatrix(ring, SuperShape((1, 1), (1, 1)), [[one, x * x * t1], [y * y * y * t2, one]])
+    cli("ber_powers", "ber", "--in", write_input("powers.y.json", serialize.encode_matrix(mixed)))
+
+
 if __name__ == "__main__":
     os.makedirs(WORK, exist_ok=True)
     proptest_reports()
@@ -356,4 +398,5 @@ if __name__ == "__main__":
     coefficient_commands()
     fault_order_commands()
     smooth_commands()
+    writer_commands()
     print(len(os.listdir(OUT)) - 1, "documents in", OUT)
