@@ -10,15 +10,16 @@ It covers `run_suite("all", 3, seed)` for seeds 0-3 at the default size and
 at (3, 2 | 2, 1), q = 5, and for seeds 0-1 at (3, 0 | 3, 0), q = 2,
 (1, 2 | 0, 2), q = 1, (2, 2 | 0, 0), q = 0 and (2, 1 | 2, 0), q = 3, where
 the samplers meet empty parts and corner minors of size 0 and full size,
-and the `factor`, `orbit`, `chart-down`,
+and the `factor`, `orbit`, `chart-up`, `chart-down`,
 `coset-eq`, `minv`, `ber` and `smooth` commands on inputs from the
 checkout's `bench/inputs.py`, including inputs that end in `NotInBigCell`,
 `NotInvertible`, `NotAPoint`, `UnassignedVariable`, `ShapeMismatch` and
 schema errors.  The coset profiles include ones with empty blocks (r = 0,
-s = 0, r = m, s = n, n = 0), so the right division by the corner meets
-empty even or odd parts.  At (12, 0 | 6, 0), `orbit` and `chart-down` meet
-a span framed only by the last of its 924 row subsets, and `orbit` one
-whose body has rank 5 < r.  The `coset-eq` runs compare g with g*p, with
+s = 0, r = m, s = n, m = 0, n = 0), so the right division by the corner
+meets empty even or odd parts; each `factor` result's `n` goes on to
+`chart-up`, and that point to `chart-down`.  At (12, 0 | 6, 0), `orbit`
+and `chart-down` meet a span framed only by the last of its 924 row
+subsets, and `orbit` one whose body has rank 5 < r.  The `coset-eq` runs compare g with g*p, with
 another coset, with a singular g1 and with matrices of the wrong shape.
 The `minv` and `ber` inputs also cover the row swaps and the stall of the
 even-block elimination, over a ring with an even generator a stall whose
@@ -31,8 +32,10 @@ embedded rings that differ from the written one, and documents that hold
 two faults each, which pin the one reported.  The writer meets generator
 names that JSON escapes (`minv`, `ber`, `orbit` and `chart-down`), zero
 elements in an all-zero row (`factor`, `orbit`, `chart-down`; `minv` and
-`ber` of a singular matrix) and even exponents of 2 and 3.  Each `cli_*.txt` file holds
-the exit status, stderr and output document of one invocation.
+`ber` of a singular matrix) and even exponents of 2 and 3.  `minv` and
+`ber` also read matrices with no cell: the (0|0) matrix and a (2|0) x (0|0)
+one.  Each `cli_*.txt` file holds the exit status, stderr and output
+document of one invocation.
 """
 
 import contextlib
@@ -104,10 +107,10 @@ def proptest_reports():
 
 
 def coset_commands():
-    # the last five profiles leave one or more of the four blocks empty
+    # the last six profiles leave one or more of the four blocks empty
     profiles = (((2, 2, 1, 1), 3, 6), ((3, 2, 2, 1), 3, 3), ((4, 4, 2, 2), 6, 2),
                 ((2, 2, 0, 1), 3, 2), ((2, 2, 1, 0), 3, 2), ((2, 2, 2, 2), 3, 2),
-                ((2, 2, 0, 0), 3, 2), ((3, 0, 1, 0), 3, 2))
+                ((2, 2, 0, 0), 3, 2), ((3, 0, 1, 0), 3, 2), ((0, 3, 0, 1), 3, 2))
     for profile, q, count in profiles:
         m, n, r, s = profile
         # the first diagonal index of a corner block, if either is nonempty
@@ -129,7 +132,14 @@ def coset_commands():
                     continue
                 tag = f"{prof}_{index}_{kind}"
                 path = write_input(f"{tag}.g.json", serialize.encode_matrix(matrix))
-                cli(f"factor_{tag}", "factor", "--in", path, "--profile", prof)
+                factor = json.loads(cli(f"factor_{tag}", "factor", "--in", path, "--profile", prof))
+                if factor["ok"]:
+                    # factor's n -> chart-up -> chart-down
+                    coords = write_input(f"{tag}.n.json", factor["n"])
+                    up = json.loads(cli(f"chart-up_{tag}", "chart-up", "--in", coords, "--profile", prof))
+                    if up["ok"]:
+                        point = write_input(f"{tag}.up.json", up["result"])
+                        cli(f"chart-down_up_{tag}", "chart-down", "--in", point, "--profile", prof)
                 orbit = json.loads(cli(f"orbit_{tag}", "orbit", "--in", path, "--profile", prof))
                 if orbit["ok"]:
                     point = write_input(f"{tag}.point.json", orbit["result"])
@@ -294,6 +304,15 @@ def coefficient_commands():
     ber("ring_differs", [cell("1"), cell("2", {"even": [], "odd": ["t"]})], [cell("0"), cell("3")])
 
 
+def empty_commands():
+    # matrices with no cell name no ring: the (0|0) matrix, and a (2|0) x
+    # (0|0) one, which is not square
+    for tag, shape in (("empty00", SuperShape((0, 0), (0, 0))), ("empty20", SuperShape((2, 0), (0, 0)))):
+        path = write_input(f"{tag}.x.json", serialize.encode_matrix(SuperMatrix.zeros(SuperRing(), shape)))
+        cli(f"minv_{tag}", "minv", "--in", path)
+        cli(f"ber_{tag}", "ber", "--in", path)
+
+
 def fault_order_commands():
     # each document holds two faults; the one reported is the first in
     # document order, except that an exponent or odd-index fault waits for
@@ -396,6 +415,7 @@ if __name__ == "__main__":
     dense_gaussian_commands()
     stall_commands()
     coefficient_commands()
+    empty_commands()
     fault_order_commands()
     smooth_commands()
     writer_commands()
