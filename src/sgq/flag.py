@@ -2,16 +2,18 @@
 
 A profile (m, n | r, s) splits the rows and columns of a square (m|n) matrix
 into four blocks of sizes (r, m-r, n-s, s), numbered 1..4 in that order.  The
-standard subspace is spanned by the first r even and the last s odd basis
-directions; its stabilizer P consists of the invertible matrices whose
-(2,1), (3,1), (2,4) and (3,4) blocks vanish.  The complement N carries
-identity diagonal blocks and free blocks u, eta, xi, v at those four
-positions.  On the big cell (corner blocks with invertible body) every g
-factors uniquely as g = assemble(coords) * p with p in P; the factorization
-is one right division of g's row blocks 2 and 3 by its corner, solved from
-the defining system, not taken from any quoted closed form, and the solved
-values are the reference the closed forms are checked against (see
-closed_form).
+standard subspace is spanned by blocks 1 and 4, the first r even and the last
+s odd basis directions: `BlockProfile.corner` holds their indices and
+`BlockProfile.inner` those of blocks 2 and 3, and everything below derives
+from these two.  The stabilizer P of the subspace consists of the invertible
+matrices that vanish on rows `inner` of columns `corner`.  The complement N
+is the identity but for the free blocks u, eta, xi, v there, in the
+positions of `FREE_BLOCKS`.  On the big cell (corner blocks with invertible
+body) every g factors uniquely as g = assemble(coords) * p with p in P; the
+factorization is one right division of g's row blocks 2 and 3 by its corner,
+solved from the defining system, not taken from any quoted closed form, and
+the solved values are the reference the closed forms are checked against
+(see closed_form).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Dict, Tuple
 
 from .algebra import SuperRing
 from .errors import NotInBigCell, NotInvertible, ShapeMismatch
-from .matrix import SuperMatrix, SuperShape, block_matrix, is_invertible, right_divide
+from .matrix import SuperMatrix, SuperShape, is_invertible, right_divide
 
 
 @dataclass(frozen=True)
@@ -61,32 +63,31 @@ class BlockProfile:
     def square_shape(self) -> SuperShape:
         return SuperShape((self.m, self.n), (self.m, self.n))
 
+    @property
+    def corner(self) -> Tuple[int, ...]:
+        """The indices of blocks 1 and 4, the directions of the standard subspace."""
+        return (*self.block_range(1), *self.block_range(4))
+
+    @property
+    def inner(self) -> Tuple[int, ...]:
+        """The indices of blocks 2 and 3, the other directions."""
+        return (*self.block_range(2), *self.block_range(3))
+
 
 def _check_square(g: SuperMatrix, bp: BlockProfile) -> None:
     if g.shape != bp.square_shape:
         raise ShapeMismatch(f"matrix shape {g.shape} does not match profile {bp}")
 
 
-def _block(g: SuperMatrix, bp: BlockProfile, i: int, j: int) -> SuperMatrix:
-    """Block (i, j) of a matrix already checked against the profile."""
-    return g.select(bp.block_range(i), bp.block_range(j))
-
-
-def _inner_and_corner(bp: BlockProfile):
-    """The global indices of blocks 2 and 3, and of blocks 1 and 4."""
-    inner = list(bp.block_range(2)) + list(bp.block_range(3))
-    corner = list(bp.block_range(1)) + list(bp.block_range(4))
-    return inner, corner
-
-
 def split_blocks(g: SuperMatrix, bp: BlockProfile) -> Dict[Tuple[int, int], SuperMatrix]:
     """The sixteen blocks of g under the profile's four-way split."""
     _check_square(g, bp)
-    return {(i, j): _block(g, bp, i, j) for i in range(1, 5) for j in range(1, 5)}
+    return {(i, j): g.select(bp.block_range(i), bp.block_range(j)) for i in range(1, 5) for j in range(1, 5)}
 
 
-# the free blocks of N, by field name, at their (row block, column block)
-_FREE_BLOCKS = {"u": (2, 1), "eta": (2, 4), "xi": (3, 1), "v": (3, 4)}
+# the free blocks of N, by field name, at their (row block, column block):
+# rows `inner` of columns `corner`, the blocks where P vanishes
+FREE_BLOCKS = {"u": (2, 1), "eta": (2, 4), "xi": (3, 1), "v": (3, 4)}
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -100,7 +101,7 @@ class NCoordinates:
     v: SuperMatrix
 
     def __post_init__(self):
-        for name, (i, j) in _FREE_BLOCKS.items():
+        for name, (i, j) in FREE_BLOCKS.items():
             block = getattr(self, name)
             expected = self.profile.block_shape(i, j)
             if block.shape != expected:
@@ -115,7 +116,7 @@ class NCoordinates:
     @classmethod
     def zero(cls, ring: SuperRing, profile: BlockProfile) -> "NCoordinates":
         return cls(profile, *(SuperMatrix.zeros(ring, profile.block_shape(i, j))
-                              for i, j in _FREE_BLOCKS.values()))
+                              for i, j in FREE_BLOCKS.values()))
 
     def is_zero(self) -> bool:
         return self.u.is_zero() and self.eta.is_zero() and self.xi.is_zero() and self.v.is_zero()
@@ -125,48 +126,39 @@ class NCoordinates:
 
 
 def assemble(coords: NCoordinates) -> SuperMatrix:
-    """The unipotent-complement matrix with the given free blocks."""
+    """The unipotent-complement matrix with the given free blocks: the
+    identity with the quotient [u eta; xi v] at rows `inner` and columns
+    `corner`, the inverse of `coordinates_from_quotient`."""
     bp = coords.profile
-    ring = coords.ring
-    eye = [SuperMatrix.identity(ring, *bp.block_shape(k, k).rows) for k in range(1, 5)]
-    z = lambda i, j: SuperMatrix.zeros(ring, bp.block_shape(i, j))
-    grid = [
-        [eye[0], z(1, 2), z(1, 3), z(1, 4)],
-        [coords.u, eye[1], z(2, 3), coords.eta],
-        [coords.xi, z(3, 2), eye[2], coords.v],
-        [z(4, 1), z(4, 2), z(4, 3), eye[3]],
-    ]
-    return block_matrix(grid)
+    rows = [list(row) for row in SuperMatrix.identity(coords.ring, bp.m, bp.n).entries]
+    quotient = zip(coords.u.entries + coords.xi.entries, coords.eta.entries + coords.v.entries)
+    for i, (even, odd) in zip(bp.inner, quotient):
+        for j, entry in zip(bp.corner, even + odd):
+            rows[i][j] = entry
+    return SuperMatrix._raw(coords.ring, bp.square_shape, rows)
 
 
 def n_coordinates_of(g: SuperMatrix, bp: BlockProfile) -> NCoordinates:
     """Read the four free N-position blocks off any profile-shaped matrix."""
     _check_square(g, bp)
-    return NCoordinates(bp, *(_block(g, bp, i, j) for i, j in _FREE_BLOCKS.values()))
+    return coordinates_from_quotient(g.select(bp.inner, bp.corner), bp)
 
 
 def standard_parabolic_member(g: SuperMatrix, bp: BlockProfile) -> bool:
     """True iff g stabilizes the standard subspace: four zero blocks."""
     _check_square(g, bp)
-    inner, corner = _inner_and_corner(bp)
-    return g.select(inner, corner).is_zero()
+    return g.select(bp.inner, bp.corner).is_zero()
 
 
 def n_member(g: SuperMatrix, bp: BlockProfile) -> bool:
-    """Identity diagonal blocks, free N-position blocks, zero elsewhere."""
-    _check_square(g, bp)
-    for k in range(1, 5):
-        if _block(g, bp, k, k) != SuperMatrix.identity(g.ring, *bp.block_shape(k, k).rows):
-            return False
-    fixed_zero = ((1, 2), (1, 3), (1, 4), (2, 3), (3, 2), (4, 1), (4, 2), (4, 3))
-    return all(_block(g, bp, i, j).is_zero() for i, j in fixed_zero)
+    """Whether g is the identity outside its free N-position blocks."""
+    return g == assemble(n_coordinates_of(g, bp))
 
 
 def in_big_cell(g: SuperMatrix, bp: BlockProfile) -> bool:
     """True iff the (1,1) and (4,4) corner blocks have invertible body."""
     _check_square(g, bp)
-    corner = list(bp.block_range(1)) + list(bp.block_range(4))
-    return is_invertible(g.select(corner, corner))
+    return is_invertible(g.select(bp.corner, bp.corner))
 
 
 def coordinates_from_quotient(norm: SuperMatrix, bp: BlockProfile) -> NCoordinates:
@@ -198,7 +190,7 @@ def normal_form(g: SuperMatrix, bp: BlockProfile) -> Tuple[NCoordinates, SuperMa
     in column blocks 2 and 3 whose body det times the corner's is g's.
     """
     _check_square(g, bp)
-    inner, corner = _inner_and_corner(bp)
+    inner, corner = bp.inner, bp.corner
     try:
         norm = right_divide(g.select(inner, corner), g.select(corner, corner))
     except NotInvertible:
@@ -210,7 +202,9 @@ def normal_form(g: SuperMatrix, bp: BlockProfile) -> Tuple[NCoordinates, SuperMa
     zero = g.ring.zero()
     rows = [list(row) for row in g.entries]
     for i, row in zip(inner, interior.entries):
-        rows[i] = [zero] * bp.r + list(row) + [zero] * bp.s
+        rows[i] = [zero] * g.n_cols
+        for j, entry in zip(inner, row):
+            rows[i][j] = entry
     return coordinates_from_quotient(norm, bp), SuperMatrix._raw(g.ring, g.shape, rows)
 
 
@@ -220,6 +214,5 @@ def cosets_equal(g1: SuperMatrix, g2: SuperMatrix, bp: BlockProfile) -> bool:
     4, the only entries that are multiplied out."""
     _check_square(g1, bp)
     _check_square(g2, bp)
-    inner, corner = _inner_and_corner(bp)
     every = range(bp.m + bp.n)
-    return (g1.inv().select(inner, every) * g2.select(every, corner)).is_zero()
+    return (g1.inv().select(bp.inner, every) * g2.select(every, bp.corner)).is_zero()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .algebra import SuperRing
 from .errors import NotInBigCell, NotInvertible, RankDeficient, RingMismatch, ShapeMismatch
@@ -83,15 +83,8 @@ def _normalize_on(span: SuperMatrix, rows: Tuple[int, ...]) -> SuperMatrix:
 
 
 def standard_point(bp: BlockProfile, ring: SuperRing) -> GrassmannianPoint:
-    """Identity blocks on row blocks 1 and 4, zero elsewhere."""
-    zero, one = ring.zero(), ring.one()
-    rows: List[List] = [[zero] * (bp.r + bp.s) for _ in range(bp.m + bp.n)]
-    for j in range(bp.r):
-        rows[j][j] = one
-    for j in range(bp.s):
-        rows[bp.m + (bp.n - bp.s) + j][bp.r + j] = one
-    span = SuperMatrix(ring, SuperShape((bp.m, bp.n), (bp.r, bp.s)), rows)
-    return GrassmannianPoint(bp, span)
+    """The image of the identity: identity rows at `corner`, zero elsewhere."""
+    return orbit_map(SuperMatrix.identity(ring, bp.m, bp.n), bp)
 
 
 def points_equal(p1: GrassmannianPoint, p2: GrassmannianPoint) -> bool:
@@ -120,11 +113,10 @@ def act(g: SuperMatrix, point: GrassmannianPoint) -> GrassmannianPoint:
 
 
 def orbit_map(g: SuperMatrix, bp: BlockProfile) -> GrassmannianPoint:
-    """The image of the standard point: column blocks 1 and 4 of g."""
+    """The image of the standard point: columns `corner` of g."""
     if g.shape != bp.square_shape:
         raise ShapeMismatch(f"matrix shape {g.shape} does not match profile {bp}")
-    cols = list(bp.block_range(1)) + list(bp.block_range(4))
-    return GrassmannianPoint(bp, g.select(list(range(g.n_rows)), cols))
+    return GrassmannianPoint(bp, g.select(range(g.n_rows), bp.corner))
 
 
 def chart_up(coords: NCoordinates) -> GrassmannianPoint:
@@ -135,13 +127,12 @@ def chart_up(coords: NCoordinates) -> GrassmannianPoint:
 def chart_down(point: GrassmannianPoint) -> NCoordinates:
     """Unipotent coordinates of a big-cell point.
 
-    Normalizes the span on row blocks 1 and 4; the remaining rows, row
-    blocks 2 and 3 in order, carry u, eta, xi, v as in `normal_form`.
+    Normalizes the span on rows `corner`; the remaining rows, `inner` in
+    order, carry u, eta, xi, v as in `normal_form`.
     """
     bp = point.profile
-    corner_rows = tuple(bp.block_range(1)) + tuple(bp.block_range(4))
     try:
-        norm = _normalize_on(point.span, corner_rows)
+        norm = _normalize_on(point.span, bp.corner)
     except NotInvertible:
         raise NotInBigCell("the (block 1, block 4) row submatrix has singular body") from None
     return coordinates_from_quotient(norm, bp)

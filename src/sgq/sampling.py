@@ -24,16 +24,12 @@ from random import Random
 from typing import List, Optional, Tuple
 
 from .algebra import SuperElement, SuperRing
-from .flag import BlockProfile, NCoordinates, assemble
+from .flag import FREE_BLOCKS, BlockProfile, NCoordinates, assemble
 from .grassmannian import GrassmannianPoint, chart_up
 from .matrix import SuperMatrix, SuperShape, independent_rows
 from .scalars import GaussianRational, from_ratios
 
 DEFAULT_COEFF_BOUND = 4
-
-# the blocks of the standard parabolic that are not forced to zero
-_PARABOLIC_FREE = frozenset({(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3),
-                             (4, 1), (4, 2), (4, 3), (4, 4)})
 
 
 def trial_rng(seed: int, label: str, index: int) -> Random:
@@ -212,13 +208,14 @@ def random_big_cell(ring: SuperRing, bp: BlockProfile, rng: Random,
 
 def random_parabolic(ring: SuperRing, bp: BlockProfile, rng: Random,
                      bound: int = DEFAULT_COEFF_BOUND) -> SuperMatrix:
-    """Random invertible member of the standard parabolic, drawn block by block."""
+    """Random invertible member of the standard parabolic, drawn block by
+    block; it vanishes on the free blocks of N."""
     zero = ring.zero()
     size = bp.m + bp.n
     rows = [[zero] * size for _ in range(size)]
     for i in range(1, 5):
         for j in range(1, 5):
-            if (i, j) not in _PARABOLIC_FREE:
+            if (i, j) in FREE_BLOCKS.values():
                 continue
             cols = bp.block_range(j)
             if i == j:
@@ -248,7 +245,7 @@ def random_ncoords(ring: SuperRing, bp: BlockProfile, rng: Random,
         ]
         return SuperMatrix._raw(ring, shape, entries)
 
-    return NCoordinates(bp, fill(2, 1), fill(2, 4), fill(3, 1), fill(3, 4))
+    return NCoordinates(bp, *(fill(i, j) for i, j in FREE_BLOCKS.values()))
 
 
 def random_big_cell_point(ring: SuperRing, bp: BlockProfile, rng: Random,

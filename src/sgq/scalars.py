@@ -11,13 +11,14 @@ from typing import Union
 RationalLike = Union[int, Fraction, "GaussianRational"]
 
 
-# an int below 2**2126 < 10**640 has at most 640 digits, and str() writes
-# that many at any int_max_str_digits, which is 0 or at least 640
-_STR_SAFE_BITS = 2126
+# int_max_str_digits is 0 or at least 640, so int() and str() take this many
+# digits at any setting; an int below 2**2126 < 10**640 has no more than that
+STR_SAFE_DIGITS = 640
+STR_SAFE_BITS = 2126
 
 
 def _digits(n: int) -> str:
-    return str(n) if n.bit_length() <= _STR_SAFE_BITS else str(Decimal(n))
+    return str(n) if n.bit_length() <= STR_SAFE_BITS else str(Decimal(n))
 
 
 def ratio_str(num: int, den: int) -> str:

@@ -294,11 +294,11 @@ def encode_matrix(matrix: SuperMatrix) -> Dict:
     return _document(matrix)
 
 
-def _read_matrix(obj, ring: Optional[SuperRing], form: Optional[Dict], empty: Optional[SuperRing] = None) -> SuperMatrix:
+def _read_matrix(obj, ring: Optional[SuperRing], form: Optional[Dict]) -> SuperMatrix:
     """A matrix document read in one walk: each entry's parity is taken from
     its masks as it is read, and the first misplaced entry is raised only
     once the whole matrix has passed its other checks.  Without a ring, a
-    matrix with no cell takes the ring `empty`, or is a fault if it is None."""
+    matrix with no cell names none and is read over the empty ring."""
     shape_obj = _get(obj, "shape", dict)
     rows = _get(shape_obj, "rows", list, ".shape")
     cols = _get(shape_obj, "cols", list, ".shape")
@@ -330,9 +330,7 @@ def _read_matrix(obj, ring: Optional[SuperRing], form: Optional[Dict], empty: Op
             row.append(element)
         entries.append(row)
     if ring is None:
-        if empty is None:
-            raise _Fault("", "cannot infer the ring of an empty matrix")
-        ring = empty
+        ring = SuperRing()
     if misplaced is not None:
         i, j, forced, element = misplaced
         raise _Fault("", f"entry ({i}, {j}) must be {'odd' if forced else 'even'}: {element!r}")
@@ -430,9 +428,7 @@ def _read_grassmann_point(obj) -> GrassmannianPoint:
     profile = _read_profile(_get(obj, "profile", dict), ".profile")
     span_obj = _get(obj, "span", dict)
     try:
-        # a span with no cell (r = s = 0) names no ring, and its chart
-        # coordinates have no cell either
-        span = _read_matrix(span_obj, None, None, SuperRing())
+        span = _read_matrix(span_obj, None, None)
     except _Fault as fault:
         raise fault.under(".span")
     # a rank-deficient span is a domain error, not a schema error: let it raise

@@ -120,25 +120,28 @@ def rank_at_point(pres: Presentation, pt: RationalPoint) -> Tuple[int, int]:
             reduced = at_point(rel)
             if not reduced.is_zero():
                 raise NotAPoint(f"{label} relation {k} does not vanish at the point: {reduced!r}")
-    jac = jacobian(pres)
-    n_even_rel = len(pres.relations_even)
-    n_even_var = len(pres.fiber_even)
-    evaluated: List[List[GaussianRational]] = []
-    for i, row in enumerate(jac):
-        # the off-diagonal entries are odd and vanish at the point: skip them
-        cols = range(n_even_var) if i < n_even_rel else range(n_even_var, len(row))
-        values = []
-        for j in cols:
-            reduced = at_point(row[j])
-            value = reduced.constant_value()
-            if value is None:
-                raise UnassignedVariable(
-                    f"Jacobian entry ({i}, {j}) does not reduce to a number: {reduced!r}; "
-                    "assign the base variables it mentions"
-                )
-            values.append(value)
-        evaluated.append(values)
-    return len(independent_rows(evaluated[:n_even_rel])), len(independent_rows(evaluated[n_even_rel:]))
+    # the off-diagonal blocks are odd and vanish at the point: only the two
+    # diagonal blocks are differentiated; (i, j) is the entry's place in the
+    # whole Jacobian
+    n_even_rel, n_even_var = len(pres.relations_even), len(pres.fiber_even)
+    ranks = []
+    for rels, variables, i0, j0 in ((pres.relations_even, pres.fiber_even, 0, 0),
+                                    (pres.relations_odd, pres.fiber_odd, n_even_rel, n_even_var)):
+        evaluated: List[List[GaussianRational]] = []
+        for i, rel in enumerate(rels, i0):
+            values = []
+            for j, var in enumerate(variables, j0):
+                reduced = at_point(rel.derivative(var))
+                value = reduced.constant_value()
+                if value is None:
+                    raise UnassignedVariable(
+                        f"Jacobian entry ({i}, {j}) does not reduce to a number: {reduced!r}; "
+                        "assign the base variables it mentions"
+                    )
+                values.append(value)
+            evaluated.append(values)
+        ranks.append(len(independent_rows(evaluated)))
+    return ranks[0], ranks[1]
 
 
 def is_smooth_at(pres: Presentation, pt: RationalPoint) -> SmoothnessVerdict:

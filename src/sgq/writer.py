@@ -26,7 +26,7 @@ from .errors import LimitExceeded
 from .flag import BlockProfile, NCoordinates
 from .grassmannian import GrassmannianPoint
 from .matrix import SuperMatrix
-from .scalars import GaussianRational, ratio_str
+from .scalars import STR_SAFE_BITS, STR_SAFE_DIGITS, GaussianRational, ratio_str
 from .smoothness import Presentation, RationalPoint
 
 
@@ -123,19 +123,13 @@ def _check_readable(text: str, path: str) -> None:
             raise LimitExceeded(f"{path}: {len(digits)} digits, over the {limit} that reading accepts")
 
 
-# a string this short parses at any int_max_str_digits, which is 0 or >= 640
-_ALWAYS_READABLE = 640
-# an int below 2**2126 < 10**640 has at most 640 digits
-_ALWAYS_READABLE_BITS = 2126
-
-
 def _coeff_texts(value: GaussianRational):
     """The written real and imaginary parts; a part too long to read back
     raises LimitExceeded at ".re" or ".im", the real part first."""
     den = value.den
     re_text = ratio_str(value.re_num, den)
     im_text = ratio_str(value.im_num, den) if value.im_num else "0"
-    if len(re_text) > _ALWAYS_READABLE or len(im_text) > _ALWAYS_READABLE:
+    if len(re_text) > STR_SAFE_DIGITS or len(im_text) > STR_SAFE_DIGITS:
         _check_readable(re_text, ".re")
         _check_readable(im_text, ".im")
     return re_text, im_text
@@ -220,7 +214,7 @@ class _Terms:
             except LimitExceeded as exc:
                 raise LimitExceeded(f".terms[{k}].coeff{exc}") from None
             exp = key[0]
-            if exp and max(exp).bit_length() > _ALWAYS_READABLE_BITS:
+            if exp and max(exp).bit_length() > STR_SAFE_BITS:
                 for i, e in enumerate(exp):
                     _check_readable(ratio_str(e, 1), f".terms[{k}].exp[{i}]")
             parts.append(f"{lead}{im_text}{mid}{re_text}{tails[key]}")
@@ -349,7 +343,7 @@ def _write_rational_point(pt: RationalPoint, parts: List[str], depth: int) -> No
                 _write_coeff(value, parts, depth + 2)
             else:
                 text = ratio_str(value.re_num, value.den)
-                if len(text) > _ALWAYS_READABLE:
+                if len(text) > STR_SAFE_DIGITS:
                     _check_readable(text, "")
                 parts.append(f'"{text}"')
         except LimitExceeded as exc:

@@ -246,6 +246,59 @@ def product_cosets_equal(g1, g2, bp):
     return standard_parabolic_member(g1.inv() * g2, bp)
 
 
+# -- the block layout restated in each function, before BlockProfile named it ------
+
+
+def grid_assemble(coords):
+    """The unipotent-complement matrix as a 4 x 4 grid of blocks."""
+    bp = coords.profile
+    ring = coords.ring
+    eye = [SuperMatrix.identity(ring, *bp.block_shape(k, k).rows) for k in range(1, 5)]
+    z = lambda i, j: SuperMatrix.zeros(ring, bp.block_shape(i, j))
+    grid = [
+        [eye[0], z(1, 2), z(1, 3), z(1, 4)],
+        [coords.u, eye[1], z(2, 3), coords.eta],
+        [coords.xi, z(3, 2), eye[2], coords.v],
+        [z(4, 1), z(4, 2), z(4, 3), eye[3]],
+    ]
+    return block_matrix(grid)
+
+
+def block_n_member(g, bp):
+    """Identity diagonal blocks and zero blocks outside the free ones,
+    checked block by block."""
+    blocks = split_blocks(g, bp)
+    for k in range(1, 5):
+        if blocks[(k, k)] != SuperMatrix.identity(g.ring, *bp.block_shape(k, k).rows):
+            return False
+    fixed_zero = ((1, 2), (1, 3), (1, 4), (2, 3), (3, 2), (4, 1), (4, 2), (4, 3))
+    return all(blocks[position].is_zero() for position in fixed_zero)
+
+
+def block_n_coordinates_of(g, bp):
+    """Blocks (2, 1), (2, 4), (3, 1) and (3, 4) of g."""
+    blocks = split_blocks(g, bp)
+    return NCoordinates(bp, blocks[(2, 1)], blocks[(2, 4)], blocks[(3, 1)], blocks[(3, 4)])
+
+
+def explicit_standard_point(bp, ring):
+    """Identity blocks on row blocks 1 and 4, placed index by index."""
+    zero, one = ring.zero(), ring.one()
+    rows = [[zero] * (bp.r + bp.s) for _ in range(bp.m + bp.n)]
+    for j in range(bp.r):
+        rows[j][j] = one
+    for j in range(bp.s):
+        rows[bp.m + (bp.n - bp.s) + j][bp.r + j] = one
+    return GrassmannianPoint(bp, SuperMatrix(ring, SuperShape((bp.m, bp.n), (bp.r, bp.s)), rows))
+
+
+def block_orbit_map(g, bp):
+    """Column blocks 1 and 4 of g."""
+    _check_square(g, bp)
+    cols = list(bp.block_range(1)) + list(bp.block_range(4))
+    return GrassmannianPoint(bp, g.select(list(range(g.n_rows)), cols))
+
+
 def json_canonical_dumps(doc):
     """The canonical document text as the standard library writes it."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -330,7 +383,7 @@ def fraction_parse_element(obj, ring=None, where="element"):
 def fraction_parse_matrix(obj, ring=None, where="matrix"):
     """A matrix document read in three walks: `fraction_parse_element` per
     entry, then the validating `SuperMatrix` constructor checks each entry's
-    ring and parity."""
+    ring and parity.  A matrix with no cell is read over the empty ring."""
     shape_obj = _get(obj, "shape", dict, where)
     rows = _get(shape_obj, "rows", list, f"{where}.shape")
     cols = _get(shape_obj, "cols", list, f"{where}.shape")
@@ -349,9 +402,8 @@ def fraction_parse_matrix(obj, ring=None, where="matrix"):
             ring = element.ring
             row.append(element)
         entries.append(row)
-    _expect(ring is not None, f"{where}: cannot infer the ring of an empty matrix")
     try:
-        return SuperMatrix(ring, shape, entries)
+        return SuperMatrix(SuperRing() if ring is None else ring, shape, entries)
     except SgqError as exc:
         raise SchemaError(f"{where}: {exc}") from None
 

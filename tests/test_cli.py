@@ -123,6 +123,28 @@ def test_orbit_then_chart_down_with_an_empty_span(ring, tmp_path, m, n):
     assert read(down_path)["result"] == encode_ncoords(NCoordinates.zero(SuperRing(), bp))
 
 
+def _empty_matrix_doc(tmp_path, rows):
+    # a matrix with no cell names no ring; it is read over the empty ring
+    path = tmp_path / "empty.json"
+    path.write_text(canonical_dumps(SuperMatrix.zeros(SuperRing(), SuperShape((rows, 0), (0, 0)))))
+    return path
+
+
+def test_minv_and_ber_of_the_empty_matrix(tmp_path):
+    path, out = _empty_matrix_doc(tmp_path, 0), tmp_path / "out.json"
+    assert run_cli("minv", "--in", str(path), "--out", str(out)) == 0
+    assert read(out)["result"] == read(path)
+    assert run_cli("ber", "--in", str(path), "--out", str(out)) == 0
+    assert read(out)["result"] == json.loads(canonical_dumps(SuperRing().one()))
+
+
+@pytest.mark.parametrize("command", ["minv", "ber"])
+def test_a_non_square_matrix_with_no_cell_is_a_domain_error(tmp_path, command):
+    path, out = _empty_matrix_doc(tmp_path, 2), tmp_path / "out.json"
+    assert run_cli(command, "--in", str(path), "--out", str(out)) == 1
+    assert read(out)["error"]["name"] == "ShapeMismatch"
+
+
 def test_smooth_command(tmp_path):
     ring = SuperRing(["x"], ["s1", "s2"])
     pres = Presentation(SuperRing(), ["x"], ["s1", "s2"],

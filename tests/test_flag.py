@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sgq import (
     BlockProfile,
@@ -17,11 +18,22 @@ from sgq import (
     n_member,
     normal_form,
     split_blocks,
+    orbit_map,
     standard_parabolic_member,
+    standard_point,
 )
+from sgq.flag import FREE_BLOCKS
 from sgq.sampling import random_big_cell, random_ncoords, random_parabolic, trial_rng
 
-from oracles import bracket_normal_form, product_cosets_equal
+from oracles import (
+    block_n_coordinates_of,
+    block_n_member,
+    block_orbit_map,
+    bracket_normal_form,
+    explicit_standard_point,
+    grid_assemble,
+    product_cosets_equal,
+)
 
 BP_SMALL = BlockProfile(1, 1, 1, 0)
 BP_FULL = BlockProfile(2, 2, 1, 1)
@@ -313,3 +325,65 @@ def test_cosets_distinct_normal_forms(grassmann4):
 def test_n_coordinates_roundtrip(grassmann4):
     coords = random_ncoords(grassmann4, BP_FULL, trial_rng(1, "roundtrip", 5))
     assert n_coordinates_of(assemble(coords), BP_FULL) == coords
+
+
+@st.composite
+def _layout_cases(draw):
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    bp = BlockProfile(m, n, draw(st.integers(0, m)), draw(st.integers(0, n)))
+    n_even, q = draw(st.integers(0, 1)), draw(st.integers(0, 3))
+    return bp, SuperRing(["x"][:n_even], [f"t{k}" for k in range(1, q + 1)]), draw(st.integers(0, 2 ** 16))
+
+
+def _one_changed(g, i, j):
+    """g with a nonzero element of the entry's parity added at (i, j)."""
+    ring = g.ring
+    rows = [list(row) for row in g.entries]
+    odd = g.shape.row_parity(i) ^ g.shape.col_parity(j)
+    rows[i][j] = rows[i][j] + (ring.gen(ring.odd_vars[0]) if odd else ring.one())
+    return SuperMatrix(ring, g.shape, rows)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_layout_cases())
+@example(case=(BlockProfile(3, 3, 0, 2), SuperRing([], ["t1", "t2"]), 0))
+@example(case=(BlockProfile(3, 3, 2, 0), SuperRing(["x"], ["t1"]), 1))
+@example(case=(BlockProfile(3, 3, 3, 3), SuperRing([], ["t1", "t2", "t3"]), 2))
+@example(case=(BlockProfile(0, 3, 0, 1), SuperRing([], ["t1"]), 3))
+@example(case=(BlockProfile(3, 0, 1, 0), SuperRing(["x"], []), 4))
+@example(case=(BlockProfile(3, 3, 1, 2), SuperRing([], ["t1", "t2"]), 5))
+def test_layout_matches_the_block_oracles(case):
+    bp, ring, seed = case
+    size = bp.m + bp.n
+    assert sorted(bp.corner + bp.inner) == list(range(size))
+    point = standard_point(bp, ring)
+    assert point.span == explicit_standard_point(bp, ring).span
+    eye = SuperMatrix.identity(ring, bp.r, bp.s)
+    assert point.span.select(bp.corner, range(bp.r + bp.s)) == eye
+
+    coords = random_ncoords(ring, bp, trial_rng(seed, "layout", 0))
+    member = assemble(coords)
+    assert member == grid_assemble(coords)
+    assert n_coordinates_of(member, bp) == coords
+    g = random_big_cell(ring, bp, trial_rng(seed, "layout", 1))
+    assert n_coordinates_of(g, bp) == block_n_coordinates_of(g, bp)
+    assert orbit_map(g, bp).span == block_orbit_map(g, bp).span
+    assert n_member(member, bp) and block_n_member(member, bp)
+    assert n_member(g, bp) == block_n_member(g, bp)
+
+    # one changed entry: a member stays one only if it lies in a free block
+    block_of = {i: k for k in range(1, 5) for i in bp.block_range(k)}
+    kinds = {"diagonal": [], "zero": [], "free": []}
+    for i in range(size):
+        for j in range(size):
+            if ring.n_odd == 0 and (i >= bp.m) != (j >= bp.m):
+                continue  # no odd element to add
+            pair = (block_of[i], block_of[j])
+            kind = "diagonal" if pair[0] == pair[1] else "free" if pair in FREE_BLOCKS.values() else "zero"
+            kinds[kind].append((i, j))
+    for kind, places in kinds.items():
+        if not places:
+            continue
+        i, j = places[seed % len(places)]
+        changed = _one_changed(member, i, j)
+        assert n_member(changed, bp) == block_n_member(changed, bp) == (kind == "free"), (kind, i, j)
