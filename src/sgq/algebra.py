@@ -101,6 +101,12 @@ def accumulate_product(dest: Dict[TermKey, GaussianRational],
             dest[key] = from_triple(a, b, d)
 
 
+def is_unit_terms(terms: Mapping[TermKey, GaussianRational]) -> bool:
+    """True when the body of a term map is a nonzero constant (the only units here)."""
+    body = [exp for exp, odd in terms if not odd]
+    return len(body) == 1 and not any(body[0])
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class SuperRing:
     """A free supercommutative ring, fixed by its ordered generator names.
@@ -254,8 +260,7 @@ class SuperElement:
 
     def is_unit(self) -> bool:
         """True when the body is a nonzero constant (the only units here)."""
-        body = [exp for exp, odd in self.terms if not odd]
-        return len(body) == 1 and not any(body[0])
+        return is_unit_terms(self.terms)
 
     # -- ring operations -----------------------------------------------------
 

@@ -109,6 +109,15 @@ class NCoordinates:
             if block.ring != self.u.ring:
                 raise ShapeMismatch(f"block {name} lives in a different ring")
 
+    @classmethod
+    def _raw(cls, profile: BlockProfile, u: SuperMatrix, eta: SuperMatrix, xi: SuperMatrix,
+             v: SuperMatrix) -> "NCoordinates":
+        """Skip validation for blocks whose shapes and ring hold by construction."""
+        obj = object.__new__(cls)
+        for name, value in (("profile", profile), ("u", u), ("eta", eta), ("xi", xi), ("v", v)):
+            object.__setattr__(obj, name, value)
+        return obj
+
     @property
     def ring(self) -> SuperRing:
         return self.u.ring
@@ -169,7 +178,7 @@ def coordinates_from_quotient(norm: SuperMatrix, bp: BlockProfile) -> NCoordinat
     odd_cols = range(bp.r, bp.r + bp.s)
     block2 = range(bp.m - bp.r)
     block3 = range(bp.m - bp.r, norm.n_rows)
-    return NCoordinates(
+    return NCoordinates._raw(
         bp,
         norm.select(block2, even_cols),
         norm.select(block2, odd_cols),

@@ -6,16 +6,18 @@ is the pattern of even morphisms between free supermodules; under it, matrix
 multiplication needs no extra signs.
 
 Determinants and inverses of all-even matrices come from one elimination
-with unit pivots: it clears below each pivot for a determinant, and runs
-Gauss-Jordan on [M | I] for an inverse, the determinant being the product of
-the pivots either way.  When every body is constant the ring is local, a
-unit is exactly an element with nonzero body, and a unit pivot exists in
-every column of an invertible matrix.  Only when the elimination stalls (a
+with unit pivots, on its own copies of the entries' term maps, updated in
+place: it clears below each pivot for a determinant, and runs Gauss-Jordan
+on [M | I] for an inverse, the determinant being the product of the pivots
+either way.  The Berezinian is read off the same elimination of
+[[D, C], [B, A]].  When every body is constant the ring is local, a unit is
+exactly an element with nonzero body, and a unit pivot exists in every
+column of an invertible matrix.  Only when the elimination stalls (a
 non-unit determinant, or bodies that involve even generators) does it fall
 back to Berkowitz's characteristic polynomial, which is division-free over
 the commutative even subring and so valid with zero divisors: it gives the
-determinant, and by Cayley-Hamilton the adjugate, the only division being
-by the unit determinant.
+determinant of the block left, and by Cayley-Hamilton the adjugate, the
+only division being by the unit determinant.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import add
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .algebra import SuperElement, SuperRing, accumulate_product, sign_mask
+from .algebra import SuperElement, SuperRing, accumulate_product, is_unit_terms, sign_mask
 from .errors import NotInvertible, ParityPatternViolation, RingMismatch, ShapeMismatch
 from .scalars import from_triple
 
@@ -138,7 +140,7 @@ class SuperMatrix:
         return SuperMatrix(self.ring, self.shape, [[fn(e) for e in row] for row in self.entries])
 
     def body(self) -> "SuperMatrix":
-        return self.map_entries(lambda e: e.body())
+        return SuperMatrix._raw(self.ring, self.shape, [[e.body() for e in row] for row in self.entries])
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -247,48 +249,86 @@ def _require_even_square(matrix: SuperMatrix) -> None:
                 raise ShapeMismatch(f"det_even requires all-even entries, found {entry!r}")
 
 
-def _unit_pivot_elimination(rows: List[List[SuperElement]], one: SuperElement):
-    """Eliminate the rows of M, or of [M | I] with `one` on the diagonal of I,
-    in place, taking as pivot the first remaining unit of each column: the
-    det of M (the pivots' product times the swap sign), or None on a stall,
-    a column with no unit.  Rows above a pivot are cleared only with the
-    augmented half, which then holds the inverse.
+def _private_rows(matrix: SuperMatrix, order: Optional[Sequence[int]] = None) -> List[List[dict]]:
+    """A copy of each entry's term map, rows and columns both taken in
+    `order` (default: as they are): the elimination updates these in place."""
+    entries = matrix.entries
+    if order is None:
+        return [[dict(e.terms) for e in row] for row in entries]
+    return [[dict(entries[i][j].terms) for j in order] for i in order]
+
+
+def _unit_pivot_elimination(ring: SuperRing, rows: List[List[dict]], start: int, stop: int):
+    """Eliminate columns start..stop-1 of rows of private term maps in place,
+    taking as pivot the first unit at or below the diagonal of each column;
+    each step adds its products into the maps with `accumulate_product`.
+
+    Returns (det, col): col is the first column with no unit left (a stall),
+    or stop, and det the term map of the product of the pivots before col
+    times the sign of the row swaps.  The rows from col on are then those of
+    the Schur complement of the pivots taken, whose determinant times det is
+    that of the columns start.. .  Rows above a pivot are cleared only when
+    the rows are wider than tall, [M | I], whose right half then holds the
+    inverse.
     """
-    ring = one.ring
+    one = ring.one().terms
     n = len(rows)
     width = len(rows[0]) if rows else 0
     det = one
     swaps = 0
-    for col in range(n):
-        pick = next((r for r in range(col, n) if rows[r][col].is_unit()), None)
+    for col in range(start, stop):
+        pick = next((r for r in range(col, n) if is_unit_terms(rows[r][col])), None)
         if pick is None:
-            return None
+            stop = col
+            break
         if pick != col:
             rows[col], rows[pick] = rows[pick], rows[col]
             swaps += 1
         pivot_row = rows[col]
         pivot = pivot_row[col]
-        det = pivot if col == 0 else det * pivot
-        # columns up to col are never read again, so they are left as they are
-        live = [j for j in range(col + 1, width) if pivot_row[j].terms]
+        if col == start:
+            det = pivot
+        else:
+            product = {}
+            accumulate_product(product, det, pivot)
+            det = product
+        # columns up to col are never updated again, so they are left as they are
+        live = [j for j in range(col + 1, width) if pivot_row[j]]
         if not live:
             continue
-        pivot_inv = pivot.inv()
+        pivot_inv = SuperElement(ring, pivot).inv().terms
         for j in live:
             entry = pivot_row[j]
-            # the identity one of the augmented half scales to the pivot inverse itself
-            pivot_row[j] = pivot_inv if entry is one else entry * pivot_inv
+            if entry == one:
+                # an identity one of the augmented half scales to the pivot inverse
+                pivot_row[j] = dict(pivot_inv)
+            else:
+                scaled = {}
+                accumulate_product(scaled, entry, pivot_inv)
+                pivot_row[j] = scaled
         for r in range(0 if width > n else col + 1, n):
             row = rows[r]
             factor = row[col]
-            if r == col or not factor.terms:
+            if r == col or not factor:
                 continue
-            minus_factor = (-factor).terms
+            minus_factor = {key: -c for key, c in factor.items()}
             for j in live:
-                terms = dict(row[j].terms)
-                accumulate_product(terms, minus_factor, pivot_row[j].terms)
-                row[j] = SuperElement(ring, terms)
-    return -det if swaps % 2 else det
+                accumulate_product(row[j], minus_factor, pivot_row[j])
+    if swaps % 2:
+        det = {key: -c for key, c in det.items()}
+    return det, stop
+
+
+def _times_trailing_det(ring: SuperRing, det: dict, rows: List[List[dict]], col: int) -> SuperElement:
+    """det times the determinant of the block of rows and columns col.. of a
+    square elimination, which Berkowitz gives when the elimination stalled."""
+    k = len(rows) - col
+    if not k:
+        return SuperElement(ring, det)
+    block = SuperMatrix._raw(ring, SuperShape((k, 0), (k, 0)),
+                             [[SuperElement(ring, terms) for terms in row[col:]] for row in rows[col:]])
+    trailing = _charpoly(block)[k]
+    return SuperElement(ring, det) * (-trailing if k % 2 else trailing)
 
 
 def _charpoly(matrix: SuperMatrix) -> List[SuperElement]:
@@ -314,27 +354,16 @@ def _charpoly(matrix: SuperMatrix) -> List[SuperElement]:
 def det_even(matrix: SuperMatrix) -> SuperElement:
     """Determinant of a square matrix with entries in the even subring."""
     _require_even_square(matrix)
-    det = _unit_pivot_elimination([list(row) for row in matrix.entries], matrix.ring.one())
-    if det is None:
-        det = _charpoly(matrix)[-1]
-        if matrix.n_rows % 2:
-            det = -det
-    return det
+    rows = _private_rows(matrix)
+    det, col = _unit_pivot_elimination(matrix.ring, rows, 0, len(rows))
+    return _times_trailing_det(matrix.ring, det, rows, col)
 
 
-def _det_and_inverse(matrix: SuperMatrix):
-    """(det, inverse) of an all-even square matrix; inverse None if det is no unit.
-
-    On a stall, Cayley-Hamilton: M (M^(n-1) + c1 M^(n-2) + ... + c(n-1) I) = -cn I.
-    """
-    _require_even_square(matrix)
+def _cayley_hamilton(matrix: SuperMatrix):
+    """(det, inverse) of an all-even square matrix from its characteristic
+    polynomial, inverse None if det is no unit:
+    M (M^(n-1) + c1 M^(n-2) + ... + c(n-1) I) = -cn I."""
     ring, shape, n = matrix.ring, matrix.shape, matrix.n_rows
-    one, zero = ring.one(), ring.zero()
-    rows = [list(row) + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(matrix.entries)]
-    det = _unit_pivot_elimination(rows, one)
-    if det is not None:
-        return det, SuperMatrix._raw(ring, shape, [row[n:] for row in rows])
     coeffs = _charpoly(matrix)
     det = -coeffs[n] if n % 2 else coeffs[n]
     if not det.is_unit():
@@ -346,6 +375,20 @@ def _det_and_inverse(matrix: SuperMatrix):
                                                 for i, row in enumerate(horner.entries)])
     scale = (-coeffs[n]).inv()
     return det, SuperMatrix._raw(ring, shape, [[e * scale for e in row] for row in horner.entries])
+
+
+def _det_and_inverse(matrix: SuperMatrix):
+    """(det, inverse) of an all-even square matrix; inverse None if det is no
+    unit.  Gauss-Jordan on [M | I], or Cayley-Hamilton on a stall."""
+    _require_even_square(matrix)
+    ring, n = matrix.ring, matrix.n_rows
+    one = ring.one().terms
+    rows = [row + [dict(one) if i == j else {} for j in range(n)] for i, row in enumerate(_private_rows(matrix))]
+    det, col = _unit_pivot_elimination(ring, rows, 0, n)
+    if col < n:
+        return _cayley_hamilton(matrix)
+    inverse = [[SuperElement(ring, terms) for terms in row[n:]] for row in rows]
+    return SuperElement(ring, det), SuperMatrix._raw(ring, matrix.shape, inverse)
 
 
 def inv_even(matrix: SuperMatrix) -> SuperMatrix:
@@ -480,12 +523,26 @@ def right_divide(rhs: SuperMatrix, matrix: SuperMatrix) -> SuperMatrix:
 
 
 def berezinian(matrix: SuperMatrix) -> SuperElement:
-    """det(A - B D^-1 C) * det(D)^-1; multiplicative on invertible matrices."""
+    """det(A - B D^-1 C) * det(D)^-1; multiplicative on invertible matrices.
+
+    One elimination of [[D, C], [B, A]], D's rows and columns first: the
+    first n pivots come from D's rows, as B's entries are odd and never
+    units, and their product with the swap sign of that part is det D.  They
+    leave A - B D^-1 C in B's rows, whose pivots give its determinant.  When
+    D's part stalls, Cayley-Hamilton decides whether D is invertible and
+    gives D^-1 for the Schur complement.
+    """
     if not matrix.shape.is_square:
         raise ShapeMismatch(f"Berezinian of non-square shape {matrix.shape}")
-    a, b, c, d = _parity_blocks(matrix)
-    det_d, d_inv = _det_and_inverse(d)
-    if d_inv is None:
-        raise NotInvertible(f"odd-odd block is singular: body determinant {det_d.body()!r}")
-    schur = a - b * d_inv * c
-    return det_even(schur) * det_d.inv()
+    ring = matrix.ring
+    m, n = matrix.shape.rows
+    rows = _private_rows(matrix, [*range(m, m + n), *range(m)])
+    det_d, col = _unit_pivot_elimination(ring, rows, 0, n)
+    if col < n:
+        a, b, c, d = _parity_blocks(matrix)
+        det_d, d_inv = _cayley_hamilton(d)
+        if d_inv is None:
+            raise NotInvertible(f"odd-odd block is singular: body determinant {det_d.body()!r}")
+        return det_even(a - b * d_inv * c) * det_d.inv()
+    det_s, col = _unit_pivot_elimination(ring, rows, n, n + m)
+    return _times_trailing_det(ring, det_s, rows, col) * SuperElement(ring, det_d).inv()

@@ -245,7 +245,7 @@ def random_ncoords(ring: SuperRing, bp: BlockProfile, rng: Random,
         ]
         return SuperMatrix._raw(ring, shape, entries)
 
-    return NCoordinates(bp, *(fill(i, j) for i, j in FREE_BLOCKS.values()))
+    return NCoordinates._raw(bp, *(fill(i, j) for i, j in FREE_BLOCKS.values()))
 
 
 def random_big_cell_point(ring: SuperRing, bp: BlockProfile, rng: Random,

@@ -26,6 +26,7 @@ from sgq import (
     RationalPoint,
     SchemaError,
     SgqError,
+    ShapeMismatch,
     SuperMatrix,
     SuperRing,
     SuperShape,
@@ -38,6 +39,7 @@ from sgq import (
 )
 from sgq.algebra import accumulate_product, sign_mask
 from sgq.flag import _check_square
+from sgq.matrix import _det_and_inverse, _parity_blocks
 
 
 def subset_dp_det(matrix):
@@ -93,6 +95,18 @@ def adjugate_inverse(matrix, det):
             row.append(cof * det_inv)
         rows.append(row)
     return SuperMatrix(matrix.ring, matrix.shape, rows)
+
+
+def schur_berezinian(matrix):
+    """det(A - B D^-1 C) * det(D)^-1 with D^-1 formed by Gauss-Jordan (or
+    Cayley-Hamilton on a stall) and the Schur complement by two products."""
+    if not matrix.shape.is_square:
+        raise ShapeMismatch(f"Berezinian of non-square shape {matrix.shape}")
+    a, b, c, d = _parity_blocks(matrix)
+    det_d, d_inv = _det_and_inverse(d)
+    if d_inv is None:
+        raise NotInvertible(f"odd-odd block is singular: body determinant {det_d.body()!r}")
+    return det_even(a - b * d_inv * c) * det_d.inv()
 
 
 def merge_odd(left, right):

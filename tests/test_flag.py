@@ -335,6 +335,22 @@ def _layout_cases(draw):
     return bp, SuperRing(["x"][:n_even], [f"t{k}" for k in range(1, q + 1)]), draw(st.integers(0, 2 ** 16))
 
 
+@settings(deadline=None, max_examples=60)
+@given(case=_layout_cases())
+@example(case=(BlockProfile(2, 2, 0, 2), SuperRing([], ["t1"]), 0))
+@example(case=(BlockProfile(0, 0, 0, 0), SuperRing([], []), 1))
+def test_unchecked_builds_equal_the_validating_constructors(case):
+    # random_ncoords, coordinates_from_quotient and SuperMatrix.body build
+    # their values without the constructors' checks
+    bp, ring, seed = case
+    g = random_big_cell(ring, bp, trial_rng(seed, "unchecked", 0))
+    for coords in (random_ncoords(ring, bp, trial_rng(seed, "unchecked", 1)), n_coordinates_of(g, bp)):
+        checked = NCoordinates(bp, coords.u, coords.eta, coords.xi, coords.v)
+        assert checked == coords and hash(checked) == hash(coords)
+    body = SuperMatrix(ring, g.shape, [[e.body() for e in row] for row in g.entries])
+    assert g.body() == body and hash(g.body()) == hash(body)
+
+
 def _one_changed(g, i, j):
     """g with a nonzero element of the entry's parity added at (i, j)."""
     ring = g.ring

@@ -21,11 +21,11 @@ from sgq import (
     is_invertible,
     sm_inv,
 )
-from sgq.matrix import _charpoly, _det_and_inverse, _unit_pivot_elimination, right_divide
+from sgq.matrix import _charpoly, _det_and_inverse, _private_rows, _unit_pivot_elimination, right_divide
 from sgq import sampling
 from sgq.sampling import random_invertible, random_soul, random_unit, trial_rng
 
-from oracles import adjugate_inverse, kloop_matmul, subset_dp_det
+from oracles import adjugate_inverse, kloop_matmul, schur_berezinian, subset_dp_det
 
 
 def sq(ring, rows):
@@ -345,7 +345,7 @@ def _even_square(ring, rows):
 
 
 def _stalls(matrix):
-    return _unit_pivot_elimination([list(row) for row in matrix.entries], matrix.ring.one()) is None
+    return _unit_pivot_elimination(matrix.ring, _private_rows(matrix), 0, matrix.n_rows)[1] < matrix.n_rows
 
 
 def _check_against_oracles(matrix):
@@ -491,6 +491,155 @@ def test_berezinian_through_even_block(grassmann4, m, n):
     c = x.select(range(m, m + n), range(m))
     d = x.select(range(m, m + n), range(m, m + n))
     assert berezinian(x) == det_even(a) * det_even(d - c * inv_even(a) * b).inv()
+
+
+_BER_RINGS = (SuperRing([], ["t1", "t2", "t3"]), POLY)
+
+
+def _ber_case(ring, m, n, kind, seed):
+    """A random invertible (m|n) matrix, edited by kind: "swap" takes the
+    bodies off the leading entries of A and D, so both parts of the
+    elimination start with a row swap; "singular_a" and "singular_d" give the
+    last row of A or D the body of its first (a soul alone at size 1);
+    "poly" gives A and D, where of size 2 or more, a body whose leading 2 x 2
+    block is [[x, x + 1], [x - 1, x]], of determinant 1 but with no unit in
+    its first column."""
+    rng = trial_rng(seed, f"test.ber.{kind}", 16 * m + n)
+    rows = [list(row) for row in random_invertible(ring, rng, m, n, bound=3).entries]
+    if kind == "swap":
+        for k in [0] * bool(m) + [m] * bool(n):
+            rows[k][k] = rows[k][k].soul()
+    for part, lo, size in (("singular_a", 0, m), ("singular_d", m, n)):
+        if kind == part and size:
+            last = lo + size - 1
+            for j in range(lo, lo + size):
+                rows[last][j] = (rows[lo][j].body() if size > 1 else ring.zero()) + random_soul(ring, rng, parity=0)
+    matrix = SuperMatrix(ring, SuperShape((m, n), (m, n)), rows)
+    if kind == "poly":
+        # the body of mixer * matrix * body^-1 is the mixer
+        x, one = ring.gen("x"), ring.one()
+        eye = SuperMatrix.identity(ring, m, n)
+        mixer = [list(row) for row in eye.entries]
+        for lo, size in ((0, m), (m, n)):
+            if size >= 2:
+                mixer[lo][lo], mixer[lo][lo + 1] = x, x + one
+                mixer[lo + 1][lo], mixer[lo + 1][lo + 1] = x - one, x
+        matrix = SuperMatrix(ring, eye.shape, mixer) * matrix * sm_inv(matrix.body())
+    return matrix
+
+
+@settings(deadline=None, max_examples=80)
+@given(ring=st.sampled_from(_BER_RINGS), m=st.integers(0, 3), n=st.integers(0, 3),
+       kind=st.sampled_from(["plain", "swap", "singular_a", "singular_d", "poly"]), seed=st.integers(0, 10 ** 6))
+@example(ring=_BER_RINGS[0], m=0, n=0, kind="plain", seed=0)
+@example(ring=_BER_RINGS[0], m=3, n=0, kind="swap", seed=0)
+@example(ring=_BER_RINGS[0], m=0, n=3, kind="swap", seed=0)
+@example(ring=_BER_RINGS[0], m=3, n=3, kind="swap", seed=1)
+@example(ring=_BER_RINGS[0], m=3, n=2, kind="singular_a", seed=2)
+@example(ring=_BER_RINGS[0], m=2, n=3, kind="singular_d", seed=3)
+@example(ring=POLY, m=2, n=2, kind="poly", seed=4)
+@example(ring=POLY, m=2, n=1, kind="poly", seed=5)
+@example(ring=POLY, m=2, n=2, kind="singular_d", seed=6)
+def test_berezinian_matches_schur_oracle(ring, m, n, kind, seed):
+    matrix = _ber_case(ring, m, n, kind if kind != "poly" or ring is POLY else "plain", seed)
+    try:
+        expected = schur_berezinian(matrix)
+    except NotInvertible as exc:
+        with pytest.raises(NotInvertible) as err:
+            berezinian(matrix)
+        assert str(err.value) == str(exc)
+        assert not subset_dp_det(matrix.select(range(m, m + n), range(m, m + n))).is_unit()
+        return
+    ber = berezinian(matrix)
+    assert ber == expected
+    # and against determinants that share no code with the elimination
+    a, b = matrix.select(range(m), range(m)), matrix.select(range(m), range(m, m + n))
+    c, d = matrix.select(range(m, m + n), range(m)), matrix.select(range(m, m + n), range(m, m + n))
+    det_d = subset_dp_det(d)
+    assert ber == subset_dp_det(a - b * adjugate_inverse(d, det_d) * c) * det_d.inv()
+
+
+@pytest.mark.parametrize("m, n, kind, seed, outcome", [
+    (3, 3, "swap", 1, "unit"), (3, 0, "swap", 0, "unit"), (0, 3, "swap", 0, "unit"),
+    (3, 2, "singular_a", 2, "non-unit"), (2, 3, "singular_d", 3, "raises"),
+])
+def test_berezinian_oracle_examples_reach_their_paths(m, n, kind, seed, outcome):
+    # the explicit examples above: both parts of the elimination start with a
+    # row swap, a singular A body gives a nilpotent Ber, a singular D body
+    # raises
+    matrix = _ber_case(_BER_RINGS[0], m, n, kind, seed)
+    if kind == "swap":
+        assert all(not matrix[k, k].is_unit() for k in [0] * bool(m) + [m] * bool(n))
+    if outcome == "raises":
+        with pytest.raises(NotInvertible) as err:
+            berezinian(matrix)
+        assert str(err.value) == "odd-odd block is singular: body determinant 0"
+    else:
+        assert berezinian(matrix).is_unit() == (outcome == "unit")
+
+
+@pytest.mark.parametrize("m, n, part", [(2, 2, "d"), (2, 1, "schur"), (2, 0, "schur"), (0, 2, "d")])
+def test_berezinian_stalls_on_polynomial_bodies(m, n, part):
+    # the elimination of D's columns, or of the Schur complement's, has no
+    # unit to pivot on; the fallback still gives the oracle's value
+    matrix = _ber_case(POLY, m, n, "poly", 7)
+    rows = _private_rows(matrix, [*range(m, m + n), *range(m)])
+    _, col = _unit_pivot_elimination(POLY, rows, 0, n)
+    if part == "schur":
+        assert col == n
+        _, col = _unit_pivot_elimination(POLY, rows, n, n + m)
+        assert col < n + m
+    else:
+        assert col < n
+    assert berezinian(matrix) == schur_berezinian(matrix)
+
+
+def _aliased_matrix(ring, m, n, seed):
+    """An invertible (m|n) matrix whose entries share objects: one `one` on
+    the diagonal, one even soul on every even cell above it, and random
+    entries below it, so that every elimination updates cells that hold a
+    shared element."""
+    rng = trial_rng(seed, "test.alias", 16 * m + n)
+    one = ring.one()
+    even_soul = random_soul(ring, rng, parity=0) + random_soul(ring, rng, parity=0)
+    shape = SuperShape((m, n), (m, n))
+    rows = []
+    for i in range(m + n):
+        row = []
+        for j in range(m + n):
+            odd = shape.row_parity(i) != shape.col_parity(j)
+            if i == j:
+                row.append(one)
+            elif odd:
+                row.append(random_soul(ring, rng, parity=1))
+            elif i < j:
+                row.append(even_soul)
+            else:
+                row.append(ring.scalar(sampling.random_nonzero_scalar(rng, 3)) + even_soul)
+        rows.append(row)
+    return SuperMatrix(ring, shape, rows)
+
+
+def test_operations_leave_input_term_maps_alone(grassmann4):
+    x = _aliased_matrix(grassmann4, 3, 2, 0)
+    rhs = _aliased_matrix(grassmann4, 3, 2, 1)
+    a = x.select(range(3), range(3))
+    singular = SuperMatrix(grassmann4, a.shape, [a.entries[0], a.entries[0], a.entries[2]])
+    inputs = (x, rhs, a, singular)
+    before = [[(e.terms, dict(e.terms), hash(e)) for row in matrix.entries for e in row] for matrix in inputs]
+    ber = berezinian(x)
+    assert berezinian(x * x) == ber * ber
+    assert x * sm_inv(x) == SuperMatrix.identity(grassmann4, 3, 2)
+    assert right_divide(rhs, x) == rhs * sm_inv(x)
+    assert a * inv_even(a) == SuperMatrix.identity(grassmann4, 3, 0)
+    assert det_even(a) == subset_dp_det(a)
+    assert det_even(singular) == subset_dp_det(singular)
+    with pytest.raises(NotInvertible):
+        inv_even(singular)
+    for matrix, kept in zip(inputs, before):
+        for e, (terms, copy, hashed) in zip((e for row in matrix.entries for e in row), kept):
+            assert e.terms is terms and e.terms == copy and hash(e) == hashed
+    assert x[0, 0] is x[1, 1] and x[0, 0].is_one()
 
 
 def test_inv_even_rejects_odd_entries(grassmann2):

@@ -17,12 +17,14 @@ checkout's `bench/inputs.py`, including inputs that end in `NotInBigCell`,
 schema errors.  The coset profiles include ones with empty blocks (r = 0,
 s = 0, r = m, s = n, m = 0, n = 0), so the right division by the corner
 meets empty even or odd parts; each `factor` result's `n` goes on to
-`chart-up`, and that point to `chart-down`.  At (12, 0 | 6, 0), `orbit`
+`chart-up`, and that point to `chart-down`, its `p` to `ber`, and each
+`minv` result of g to `ber`.  At (12, 0 | 6, 0), `orbit`
 and `chart-down` meet a span framed only by the last of its 924 row
 subsets, and `orbit` one whose body has rank 5 < r.  The `coset-eq` runs compare g with g*p, with
 another coset, with a singular g1 and with matrices of the wrong shape.
 The `minv` and `ber` inputs also cover the row swaps and the stall of the
-even-block elimination, over a ring with an even generator a stall whose
+even-block elimination, a stall inside the Schur complement (a singular
+even-even body beside a unit D), over a ring with an even generator a stall whose
 determinant is still a unit, a (2|2) matrix whose Gaussian coefficients
 have distinct denominators, and a dense (4|4) matrix over q = 4 odd and one
 even generator whose souls carry powers of it, with such coefficients.  Further `ber` runs read coefficients outside
@@ -134,7 +136,8 @@ def coset_commands():
                 path = write_input(f"{tag}.g.json", serialize.encode_matrix(matrix))
                 factor = json.loads(cli(f"factor_{tag}", "factor", "--in", path, "--profile", prof))
                 if factor["ok"]:
-                    # factor's n -> chart-up -> chart-down
+                    # factor's p -> ber, and its n -> chart-up -> chart-down
+                    cli(f"ber_p_{tag}", "ber", "--in", write_input(f"{tag}.p.json", factor["p"]))
                     coords = write_input(f"{tag}.n.json", factor["n"])
                     up = json.loads(cli(f"chart-up_{tag}", "chart-up", "--in", coords, "--profile", prof))
                     if up["ok"]:
@@ -144,6 +147,9 @@ def coset_commands():
                 if orbit["ok"]:
                     point = write_input(f"{tag}.point.json", orbit["result"])
                     cli(f"chart-down_{tag}", "chart-down", "--in", point, "--profile", prof)
+                inverse = json.loads(cli(f"minv_{tag}", "minv", "--in", path))
+                if inverse["ok"]:
+                    cli(f"ber_minv_{tag}", "ber", "--in", write_input(f"{tag}.minv.json", inverse["result"]))
     cli("factor_no_profile", "factor", "--in", path)
     ring = SuperRing([], ["t1", "t2"])
     one = ring.one()
@@ -254,6 +260,10 @@ def superlinalg_commands():
                 # but not zero, so its elimination stalls part way
                 "singular_d": edited(x, {(m + n - 1, j): lambda e, rows, j=j: rows[m][j]
                                          for j in range(m, m + n)}),
+                # the last row of A repeats its first while D is a unit: the
+                # Schur complement's body is singular, so the Berezinian's
+                # elimination stalls inside the Schur part
+                "singular_a": edited(x, {(m - 1, j): lambda e, rows, j=j: rows[0][j] for j in range(m)}),
             }
             for kind, matrix in cases.items():
                 tag = f"{m}{n}{q}_{index}_{kind}"
