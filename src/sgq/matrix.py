@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import add
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .algebra import SuperElement, SuperRing, accumulate_product, is_unit_terms, sign_mask
 from .errors import NotInvertible, ParityPatternViolation, RingMismatch, ShapeMismatch
@@ -249,34 +249,30 @@ def _require_even_square(matrix: SuperMatrix) -> None:
                 raise ShapeMismatch(f"det_even requires all-even entries, found {entry!r}")
 
 
-def _private_rows(matrix: SuperMatrix, order: Optional[Sequence[int]] = None) -> List[List[dict]]:
-    """A copy of each entry's term map, rows and columns both taken in
-    `order` (default: as they are): the elimination updates these in place."""
-    entries = matrix.entries
-    if order is None:
-        return [[dict(e.terms) for e in row] for row in entries]
-    return [[dict(entries[i][j].terms) for j in order] for i in order]
+def _private_rows(matrix: SuperMatrix) -> List[List[dict]]:
+    """A copy of each entry's term map: the elimination updates these in place."""
+    return [[dict(e.terms) for e in row] for row in matrix.entries]
 
 
-def _unit_pivot_elimination(ring: SuperRing, rows: List[List[dict]], start: int, stop: int):
-    """Eliminate columns start..stop-1 of rows of private term maps in place,
+def _unit_pivot_elimination(ring: SuperRing, rows: List[List[dict]], stop: int):
+    """Eliminate columns 0..stop-1 of rows of private term maps in place,
     taking as pivot the first unit at or below the diagonal of each column;
     each step adds its products into the maps with `accumulate_product`.
 
     Returns (det, col): col is the first column with no unit left (a stall),
     or stop, and det the term map of the product of the pivots before col
-    times the sign of the row swaps.  The rows from col on are then those of
-    the Schur complement of the pivots taken, whose determinant times det is
-    that of the columns start.. .  Rows above a pivot are cleared only when
-    the rows are wider than tall, [M | I], whose right half then holds the
-    inverse.
+    times the sign of the row swaps.  Rows and columns from col on then hold
+    the Schur complement of the pivots taken; for square rows, its
+    determinant times det is that of the whole.  Rows above a pivot are
+    cleared only when the rows are wider than tall, [M | I], whose right
+    half then holds the inverse.
     """
     one = ring.one().terms
     n = len(rows)
     width = len(rows[0]) if rows else 0
     det = one
     swaps = 0
-    for col in range(start, stop):
+    for col in range(stop):
         pick = next((r for r in range(col, n) if is_unit_terms(rows[r][col])), None)
         if pick is None:
             stop = col
@@ -286,7 +282,7 @@ def _unit_pivot_elimination(ring: SuperRing, rows: List[List[dict]], start: int,
             swaps += 1
         pivot_row = rows[col]
         pivot = pivot_row[col]
-        if col == start:
+        if col == 0:
             det = pivot
         else:
             product = {}
@@ -319,18 +315,6 @@ def _unit_pivot_elimination(ring: SuperRing, rows: List[List[dict]], start: int,
     return det, stop
 
 
-def _times_trailing_det(ring: SuperRing, det: dict, rows: List[List[dict]], col: int) -> SuperElement:
-    """det times the determinant of the block of rows and columns col.. of a
-    square elimination, which Berkowitz gives when the elimination stalled."""
-    k = len(rows) - col
-    if not k:
-        return SuperElement(ring, det)
-    block = SuperMatrix._raw(ring, SuperShape((k, 0), (k, 0)),
-                             [[SuperElement(ring, terms) for terms in row[col:]] for row in rows[col:]])
-    trailing = _charpoly(block)[k]
-    return SuperElement(ring, det) * (-trailing if k % 2 else trailing)
-
-
 def _charpoly(matrix: SuperMatrix) -> List[SuperElement]:
     """Coefficients [1, c1, ..., cn] of det(x I - M), division-free (Berkowitz):
     the polynomial of [[A, C], [R, a]] is that of A times the lower Toeplitz
@@ -352,11 +336,24 @@ def _charpoly(matrix: SuperMatrix) -> List[SuperElement]:
 
 
 def det_even(matrix: SuperMatrix) -> SuperElement:
-    """Determinant of a square matrix with entries in the even subring."""
+    """Determinant of a square matrix with entries in the even subring: the
+    product of the pivots, times Berkowitz's determinant of the block left
+    when the elimination stalls."""
     _require_even_square(matrix)
+    ring = matrix.ring
     rows = _private_rows(matrix)
-    det, col = _unit_pivot_elimination(matrix.ring, rows, 0, len(rows))
-    return _times_trailing_det(matrix.ring, det, rows, col)
+    det, col = _unit_pivot_elimination(ring, rows, len(rows))
+    det = SuperElement(ring, det)
+    k = len(rows) - col
+    if not k:
+        return det
+    trailing = _charpoly(_block(ring, SuperShape((k, 0), (k, 0)), rows[col:], col, len(rows)))[k]
+    return det * (-trailing if k % 2 else trailing)
+
+
+def _block(ring: SuperRing, shape: SuperShape, rows: List[List[dict]], lo: int, hi: int) -> SuperMatrix:
+    """The columns lo..hi-1 of rows of term maps, wrapped as a matrix of shape."""
+    return SuperMatrix._raw(ring, shape, [[SuperElement(ring, terms) for terms in row[lo:hi]] for row in rows])
 
 
 def _cayley_hamilton(matrix: SuperMatrix):
@@ -384,7 +381,7 @@ def _det_and_inverse(matrix: SuperMatrix):
     ring, n = matrix.ring, matrix.n_rows
     one = ring.one().terms
     rows = [row + [dict(one) if i == j else {} for j in range(n)] for i, row in enumerate(_private_rows(matrix))]
-    det, col = _unit_pivot_elimination(ring, rows, 0, n)
+    det, col = _unit_pivot_elimination(ring, rows, n)
     if col < n:
         return _cayley_hamilton(matrix)
     inverse = [[SuperElement(ring, terms) for terms in row[n:]] for row in rows]
@@ -528,21 +525,27 @@ def berezinian(matrix: SuperMatrix) -> SuperElement:
     One elimination of [[D, C], [B, A]], D's rows and columns first: the
     first n pivots come from D's rows, as B's entries are odd and never
     units, and their product with the swap sign of that part is det D.  They
-    leave A - B D^-1 C in B's rows, whose pivots give its determinant.  When
-    D's part stalls, Cayley-Hamilton decides whether D is invertible and
-    gives D^-1 for the Schur complement.
+    leave the Schur complement A - B D^-1 C in B's rows, whose determinant
+    det_even takes.  When D's part stalls, Cayley-Hamilton on the block T of
+    D's rows and columns not yet eliminated decides whether D is invertible,
+    and T^-1 finishes the Schur complement.
     """
     if not matrix.shape.is_square:
         raise ShapeMismatch(f"Berezinian of non-square shape {matrix.shape}")
     ring = matrix.ring
     m, n = matrix.shape.rows
-    rows = _private_rows(matrix, [*range(m, m + n), *range(m)])
-    det_d, col = _unit_pivot_elimination(ring, rows, 0, n)
+    order = [*range(m, m + n), *range(m)]
+    rows = [[dict(matrix.entries[i][j].terms) for j in order] for i in order]
+    det_d, col = _unit_pivot_elimination(ring, rows, n)
+    det_d = SuperElement(ring, det_d)
+    schur = _block(ring, SuperShape((m, 0), (m, 0)), rows[n:], n, n + m)
     if col < n:
-        a, b, c, d = _parity_blocks(matrix)
-        det_d, d_inv = _cayley_hamilton(d)
-        if d_inv is None:
+        k = n - col
+        det_t, t_inv = _cayley_hamilton(_block(ring, SuperShape((0, k), (0, k)), rows[col:n], col, n))
+        det_d = det_d * det_t
+        if t_inv is None:
             raise NotInvertible(f"odd-odd block is singular: body determinant {det_d.body()!r}")
-        return det_even(a - b * d_inv * c) * det_d.inv()
-    det_s, col = _unit_pivot_elimination(ring, rows, n, n + m)
-    return _times_trailing_det(ring, det_s, rows, col) * SuperElement(ring, det_d).inv()
+        b = _block(ring, SuperShape((m, 0), (0, k)), rows[n:], col, n)
+        c = _block(ring, SuperShape((0, k), (m, 0)), rows[col:n], n, n + m)
+        schur = schur - b * t_inv * c
+    return det_even(schur) * det_d.inv()

@@ -345,7 +345,7 @@ def _even_square(ring, rows):
 
 
 def _stalls(matrix):
-    return _unit_pivot_elimination(matrix.ring, _private_rows(matrix), 0, matrix.n_rows)[1] < matrix.n_rows
+    return _unit_pivot_elimination(matrix.ring, _private_rows(matrix), matrix.n_rows)[1] < matrix.n_rows
 
 
 def _check_against_oracles(matrix):
@@ -503,7 +503,8 @@ def _ber_case(ring, m, n, kind, seed):
     last row of A or D the body of its first (a soul alone at size 1);
     "poly" gives A and D, where of size 2 or more, a body whose leading 2 x 2
     block is [[x, x + 1], [x - 1, x]], of determinant 1 but with no unit in
-    its first column."""
+    its first column; "poly_late" puts that block one index into D alone, of
+    size 3 or more, after a unit."""
     rng = trial_rng(seed, f"test.ber.{kind}", 16 * m + n)
     rows = [list(row) for row in random_invertible(ring, rng, m, n, bound=3).entries]
     if kind == "swap":
@@ -515,12 +516,12 @@ def _ber_case(ring, m, n, kind, seed):
             for j in range(lo, lo + size):
                 rows[last][j] = (rows[lo][j].body() if size > 1 else ring.zero()) + random_soul(ring, rng, parity=0)
     matrix = SuperMatrix(ring, SuperShape((m, n), (m, n)), rows)
-    if kind == "poly":
+    if kind in ("poly", "poly_late"):
         # the body of mixer * matrix * body^-1 is the mixer
         x, one = ring.gen("x"), ring.one()
         eye = SuperMatrix.identity(ring, m, n)
         mixer = [list(row) for row in eye.entries]
-        for lo, size in ((0, m), (m, n)):
+        for lo, size in ((0, m), (m, n)) if kind == "poly" else ((m + 1, n - 1),):
             if size >= 2:
                 mixer[lo][lo], mixer[lo][lo + 1] = x, x + one
                 mixer[lo + 1][lo], mixer[lo + 1][lo + 1] = x - one, x
@@ -530,7 +531,7 @@ def _ber_case(ring, m, n, kind, seed):
 
 @settings(deadline=None, max_examples=80)
 @given(ring=st.sampled_from(_BER_RINGS), m=st.integers(0, 3), n=st.integers(0, 3),
-       kind=st.sampled_from(["plain", "swap", "singular_a", "singular_d", "poly"]), seed=st.integers(0, 10 ** 6))
+       kind=st.sampled_from(["plain", "swap", "singular_a", "singular_d", "poly", "poly_late"]), seed=st.integers(0, 10 ** 6))
 @example(ring=_BER_RINGS[0], m=0, n=0, kind="plain", seed=0)
 @example(ring=_BER_RINGS[0], m=3, n=0, kind="swap", seed=0)
 @example(ring=_BER_RINGS[0], m=0, n=3, kind="swap", seed=0)
@@ -540,8 +541,9 @@ def _ber_case(ring, m, n, kind, seed):
 @example(ring=POLY, m=2, n=2, kind="poly", seed=4)
 @example(ring=POLY, m=2, n=1, kind="poly", seed=5)
 @example(ring=POLY, m=2, n=2, kind="singular_d", seed=6)
+@example(ring=POLY, m=1, n=3, kind="poly_late", seed=8)
 def test_berezinian_matches_schur_oracle(ring, m, n, kind, seed):
-    matrix = _ber_case(ring, m, n, kind if kind != "poly" or ring is POLY else "plain", seed)
+    matrix = _ber_case(ring, m, n, kind if not kind.startswith("poly") or ring is POLY else "plain", seed)
     try:
         expected = schur_berezinian(matrix)
     except NotInvertible as exc:
@@ -578,19 +580,23 @@ def test_berezinian_oracle_examples_reach_their_paths(m, n, kind, seed, outcome)
         assert berezinian(matrix).is_unit() == (outcome == "unit")
 
 
-@pytest.mark.parametrize("m, n, part", [(2, 2, "d"), (2, 1, "schur"), (2, 0, "schur"), (0, 2, "d")])
-def test_berezinian_stalls_on_polynomial_bodies(m, n, part):
-    # the elimination of D's columns, or of the Schur complement's, has no
-    # unit to pivot on; the fallback still gives the oracle's value
-    matrix = _ber_case(POLY, m, n, "poly", 7)
-    rows = _private_rows(matrix, [*range(m, m + n), *range(m)])
-    _, col = _unit_pivot_elimination(POLY, rows, 0, n)
-    if part == "schur":
+@pytest.mark.parametrize("m, n, kind, stall", [
+    (2, 2, "poly", 0), (2, 1, "poly", None), (2, 0, "poly", None), (0, 2, "poly", 0),
+    (2, 3, "poly_late", 1), (0, 3, "poly_late", 1),
+])
+def test_berezinian_stalls_on_polynomial_bodies(m, n, kind, stall):
+    # the elimination of D's columns stalls at column `stall`, or that of the
+    # Schur complement's (stall None); the fallback still gives the oracle's
+    # value
+    matrix = _ber_case(POLY, m, n, kind, 7)
+    order = [*range(m, m + n), *range(m)]
+    rows = [[dict(matrix[i, j].terms) for j in order] for i in order]
+    _, col = _unit_pivot_elimination(POLY, rows, n)
+    if stall is None:
         assert col == n
-        _, col = _unit_pivot_elimination(POLY, rows, n, n + m)
-        assert col < n + m
+        assert _unit_pivot_elimination(POLY, [row[n:] for row in rows[n:]], m)[1] < m
     else:
-        assert col < n
+        assert col == stall
     assert berezinian(matrix) == schur_berezinian(matrix)
 
 
