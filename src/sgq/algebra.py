@@ -107,6 +107,34 @@ def is_unit_terms(terms: Mapping[TermKey, GaussianRational]) -> bool:
     return len(body) == 1 and not any(body[0])
 
 
+def inverse_terms(terms: Mapping[TermKey, GaussianRational]) -> Dict[TermKey, GaussianRational]:
+    """The term map of the inverse of a unit (see `is_unit_terms`), by the
+    terminating geometric series.
+
+    With c the constant body and s the nilpotent rest (s^(q+1) = 0), the
+    inverse is sum_k c^-1 (-s/c)^k; each power is one `accumulate_product`
+    and is added into the sum as its product with 1.  A constant inverts
+    with no product.
+    """
+    if len(terms) == 1:
+        ((key, c),) = terms.items()
+        return {key: c.inverse()}
+    body = next(key for key in terms if not key[1])
+    c_inv = terms[body].inverse()
+    # -s/c, nilpotent; scaling by the constant needs no term products
+    step = {key: -c * c_inv for key, c in terms.items() if key[1]}
+    one = {body: GaussianRational(1)}
+    power = {body: c_inv}
+    result = dict(power)
+    while True:
+        following: Dict[TermKey, GaussianRational] = {}
+        accumulate_product(following, power, step)
+        if not following:
+            return result
+        accumulate_product(result, following, one)
+        power = following
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class SuperRing:
     """A free supercommutative ring, fixed by its ordered generator names.
@@ -323,22 +351,14 @@ class SuperElement:
         return self.ring.one() if result is None else result
 
     def inv(self) -> "SuperElement":
-        """Exact inverse via the terminating geometric series.
+        """Exact inverse via the terminating geometric series (`inverse_terms`).
 
         Requires the body to be a nonzero constant c; then a = c + s with s
         nilpotent (s^(q+1) = 0) and a^(-1) = c^(-1) * sum_k (-s/c)^k.
         """
-        value = self.body().constant_value()
-        if value is None or not value:
+        if not is_unit_terms(self.terms):
             raise NotInvertible(f"body is not a unit: {self.body()!r}")
-        c_inv = value.inverse()
-        # -s/c, nilpotent; scaling by the constant needs no term products
-        step = SuperElement(self.ring, {k: -c * c_inv for k, c in self.terms.items() if k[1]})
-        result, power = self.ring.one(), step
-        while power.terms:
-            result = result + power
-            power = power * step
-        return SuperElement(self.ring, {k: c * c_inv for k, c in result.terms.items()})
+        return SuperElement(self.ring, inverse_terms(self.terms))
 
     def derivative(self, var: str) -> "SuperElement":
         """Partial derivative; left derivative for odd generators."""

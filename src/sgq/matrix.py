@@ -18,6 +18,13 @@ back to Berkowitz's characteristic polynomial, which is division-free over
 the commutative even subring and so valid with zero divisors: it gives the
 determinant of the block left, and by Cayley-Hamilton the adjugate, the
 only division being by the unit determinant.
+
+Inverses and right quotients of supermatrices take one Schur step on the
+odd-odd block D, worked on grids of term maps from start to end: each
+operand is unpacked once per role, each block product adds into a seed
+grid and folds a minus sign into its left operand, so C - A B is one pass,
+and only the result is wrapped as elements.  Matrix products run on the
+same unpacked products.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from math import gcd
 from operator import add
 from typing import Callable, List, Sequence, Tuple
 
-from .algebra import SuperElement, SuperRing, accumulate_product, is_unit_terms, sign_mask
+from .algebra import SuperElement, SuperRing, accumulate_product, inverse_terms, is_unit_terms, sign_mask
 from .errors import NotInvertible, ParityPatternViolation, RingMismatch, ShapeMismatch
 from .scalars import from_triple
 
@@ -170,18 +177,8 @@ class SuperMatrix:
         self._check_ring(other)
         if self.shape.cols != other.shape.rows:
             raise ShapeMismatch(f"cannot multiply shapes {self.shape} and {other.shape}")
-        ring = self.ring
-        # each operand is read once: the right one column by column, the left
-        # one row by row with each term's sign mask
-        columns = [[[(exp, mask, c.re_num, c.im_num, c.den) for (exp, mask), c in row[j].terms.items()]
-                    for row in other.entries]
-                   for j in range(other.n_cols)]
-        rows = []
-        for my_row in self.entries:
-            left = [[(exp, mask, sign_mask(mask), c.re_num, c.im_num, c.den) for (exp, mask), c in e.terms.items()]
-                    for e in my_row]
-            rows.append([SuperElement(ring, _dot(left, column)) for column in columns])
-        return SuperMatrix._raw(ring, SuperShape(self.shape.rows, other.shape.cols), rows)
+        rows = _gemm(_left_terms(_grid(self)), _right_terms(_grid(other), other.n_cols))
+        return _wrap(self.ring, SuperShape(self.shape.rows, other.shape.cols), rows)
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(repr(e) for e in row) + "]" for row in self.entries)
@@ -194,16 +191,52 @@ class SuperMatrix:
         return sm_inv(self)
 
 
-def _dot(left, column):
-    """The term map of sum_k left[k] * column[k], from unpacked terms:
+def _grid(matrix: SuperMatrix) -> List[List[dict]]:
+    """The entries' term maps, shared, not copied."""
+    return [[e.terms for e in row] for row in matrix.entries]
+
+
+def _wrap(ring: SuperRing, shape: SuperShape, grid) -> SuperMatrix:
+    """A grid of term maps as a matrix of shape; the maps become the entries'."""
+    return SuperMatrix._raw(ring, shape, [[SuperElement(ring, terms) for terms in row] for row in grid])
+
+
+def _left_terms(grid, negate: bool = False):
+    """The rows of a grid of term maps unpacked as left operands: terms
+    (exp, mask, sign mask, re_num, im_num, den), negated when asked."""
+    sign = -1 if negate else 1
+    return [[[(exp, mask, sign_mask(mask), sign * c.re_num, sign * c.im_num, c.den) for (exp, mask), c in terms.items()]
+             for terms in row] for row in grid]
+
+
+def _right_terms(grid, width: int):
+    """The first width columns of a grid of term maps unpacked as right
+    operands: terms (exp, mask, re_num, im_num, den).  The width is passed
+    because a grid with no rows cannot show it."""
+    return [[[(exp, mask, c.re_num, c.im_num, c.den) for (exp, mask), c in row[j].items()] for row in grid]
+            for j in range(width)]
+
+
+def _gemm(rows, columns, seeds=None):
+    """The grid of term maps of seeds + L * R, from L's unpacked rows and R's
+    unpacked columns; seeds, a grid of term maps, is only read."""
+    if seeds is None:
+        return [[_dot(left, column) for column in columns] for left in rows]
+    return [[_dot(left, column, seed) for column, seed in zip(columns, seed_row)]
+            for left, seed_row in zip(rows, seeds)]
+
+
+def _dot(left, column, seed=None):
+    """The term map of seed + sum_k left[k] * column[k], from unpacked terms:
     (exp, mask, sign mask, re_num, im_num, den) on the left and
     (exp, mask, re_num, im_num, den) on the right.
 
-    The k-loop adds unreduced triples per key, bringing two denominators
-    to their lcm when they differ; each surviving key then takes one gcd and
-    one coefficient object.  Keys whose sum is zero are dropped.
+    The accumulator starts from the seed's triples, and the k-loop adds
+    unreduced triples per key, bringing two denominators to their lcm when
+    they differ; each surviving key then takes one gcd and one coefficient
+    object.  Keys whose sum is zero are dropped.
     """
-    acc = {}
+    acc = {key: (c.re_num, c.im_num, c.den) for key, c in seed.items()} if seed else {}
     for left_terms, right_terms in zip(left, column):
         if not right_terms:
             continue
@@ -292,7 +325,7 @@ def _unit_pivot_elimination(ring: SuperRing, rows: List[List[dict]], stop: int):
         live = [j for j in range(col + 1, width) if pivot_row[j]]
         if not live:
             continue
-        pivot_inv = SuperElement(ring, pivot).inv().terms
+        pivot_inv = inverse_terms(pivot)
         for j in live:
             entry = pivot_row[j]
             if entry == one:
@@ -347,13 +380,8 @@ def det_even(matrix: SuperMatrix) -> SuperElement:
     k = len(rows) - col
     if not k:
         return det
-    trailing = _charpoly(_block(ring, SuperShape((k, 0), (k, 0)), rows[col:], col, len(rows)))[k]
+    trailing = _charpoly(_wrap(ring, SuperShape((k, 0), (k, 0)), [row[col:] for row in rows[col:]]))[k]
     return det * (-trailing if k % 2 else trailing)
-
-
-def _block(ring: SuperRing, shape: SuperShape, rows: List[List[dict]], lo: int, hi: int) -> SuperMatrix:
-    """The columns lo..hi-1 of rows of term maps, wrapped as a matrix of shape."""
-    return SuperMatrix._raw(ring, shape, [[SuperElement(ring, terms) for terms in row[lo:hi]] for row in rows])
 
 
 def _cayley_hamilton(matrix: SuperMatrix):
@@ -436,21 +464,6 @@ def block_matrix(grid: Sequence[Sequence[SuperMatrix]]) -> SuperMatrix:
     return SuperMatrix._raw(ring, shape, entries)
 
 
-def _parity_blocks(matrix: SuperMatrix):
-    """The four parity blocks A, B, C, D of a square (m|n) matrix."""
-    m, n = matrix.shape.rows
-    even_rows = list(range(m))
-    odd_rows = list(range(m, m + n))
-    even_cols = list(range(matrix.shape.cols[0]))
-    odd_cols = list(range(matrix.shape.cols[0], matrix.n_cols))
-    return (
-        matrix.select(even_rows, even_cols),
-        matrix.select(even_rows, odd_cols),
-        matrix.select(odd_rows, even_cols),
-        matrix.select(odd_rows, odd_cols),
-    )
-
-
 def is_invertible(matrix: SuperMatrix) -> bool:
     """Body test: both parity-diagonal blocks, and so the block-diagonal
     body, must have unit determinant."""
@@ -473,31 +486,41 @@ def independent_rows(rows: Sequence[Sequence]) -> List[int]:
 
 
 def _schur_step(matrix: SuperMatrix):
-    """(C, D^-1, B D^-1, S^-1) for a square matrix [[A, B], [C, D]], where
-    S = A - B D^-1 C is the Schur complement of the odd-odd block D.  Raises
-    NotInvertible naming the block whose body is singular."""
+    """(D^-1, B D^-1, S^-1, C) for a square matrix [[A, B], [C, D]], where
+    S = A - B D^-1 C is the Schur complement of the odd-odd block D: the
+    inverses as grids of term maps, B D^-1 and C as unpacked right operands.
+    Raises NotInvertible naming the block whose body is singular."""
     if not matrix.shape.is_square:
         raise ShapeMismatch(f"cannot invert non-square shape {matrix.shape}")
-    a, b, c, d = _parity_blocks(matrix)
+    ring = matrix.ring
+    m, n = matrix.shape.rows
+    grid = _grid(matrix)
     try:
-        d_inv = inv_even(d)
+        d_inv = _grid(inv_even(SuperMatrix._raw(ring, SuperShape((0, n), (0, n)),
+                                                [row[m:] for row in matrix.entries[m:]])))
     except NotInvertible as exc:
         raise NotInvertible(f"odd-odd block is singular: {exc}") from None
-    b_d_inv = b * d_inv
+    b_d_inv = _gemm(_left_terms([row[m:] for row in grid[:m]]), _right_terms(d_inv, n))
+    c = _right_terms(grid[m:], m)
+    schur = _gemm(_left_terms(b_d_inv, negate=True), c, [row[:m] for row in grid[:m]])
     try:
-        schur_inv = inv_even(a - b_d_inv * c)
+        s_inv = _grid(inv_even(_wrap(ring, SuperShape((m, 0), (m, 0)), schur)))
     except NotInvertible as exc:
         raise NotInvertible(f"even-even block is singular: {exc}") from None
-    return c, d_inv, b_d_inv, schur_inv
+    return d_inv, _right_terms(b_d_inv, n), s_inv, c
 
 
 def sm_inv(matrix: SuperMatrix) -> SuperMatrix:
-    """Exact inverse of an invertible square supermatrix via Schur complement."""
-    c, d_inv, b_d_inv, schur_inv = _schur_step(matrix)
-    top_right = -(schur_inv * b_d_inv)
-    bottom_left = -(d_inv * c * schur_inv)
-    bottom_right = d_inv - bottom_left * b_d_inv
-    return block_matrix([[schur_inv, top_right], [bottom_left, bottom_right]])
+    """Exact inverse of an invertible square supermatrix via Schur complement:
+    [[S^-1, -S^-1 B D^-1], [L, D^-1 - L B D^-1]] with L = -D^-1 C S^-1."""
+    d_inv, b_d_inv, s_inv, c = _schur_step(matrix)
+    m = matrix.shape.rows[0]
+    top_right = _gemm(_left_terms(s_inv, negate=True), b_d_inv)
+    d_inv_c = _gemm(_left_terms(d_inv), c)
+    bottom_left = _gemm(_left_terms(d_inv_c, negate=True), _right_terms(s_inv, m))
+    bottom_right = _gemm(_left_terms(bottom_left, negate=True), b_d_inv, d_inv)
+    rows = [left + right for left, right in zip(s_inv + bottom_left, top_right + bottom_right)]
+    return _wrap(matrix.ring, matrix.shape, rows)
 
 
 def right_divide(rhs: SuperMatrix, matrix: SuperMatrix) -> SuperMatrix:
@@ -509,14 +532,15 @@ def right_divide(rhs: SuperMatrix, matrix: SuperMatrix) -> SuperMatrix:
     """
     if rhs.shape.cols != matrix.shape.rows:
         raise ShapeMismatch(f"cannot divide shape {rhs.shape} by shape {matrix.shape}")
-    c, d_inv, b_d_inv, schur_inv = _schur_step(matrix)
-    rows = range(rhs.n_rows)
-    split = matrix.shape.rows[0]
-    r2_d_inv = rhs.select(rows, range(split, rhs.n_cols)) * d_inv
-    x1 = (rhs.select(rows, range(split)) - r2_d_inv * c) * schur_inv
-    x2 = r2_d_inv - x1 * b_d_inv
-    return SuperMatrix._raw(rhs.ring, SuperShape(rhs.shape.rows, matrix.shape.cols),
-                            [left + right for left, right in zip(x1.entries, x2.entries)])
+    d_inv, b_d_inv, s_inv, c = _schur_step(matrix)
+    m, n = matrix.shape.rows
+    grid = _grid(rhs)
+    r2_d_inv = _gemm(_left_terms([row[m:] for row in grid]), _right_terms(d_inv, n))
+    reduced = _gemm(_left_terms(r2_d_inv, negate=True), c, [row[:m] for row in grid])
+    x1 = _gemm(_left_terms(reduced), _right_terms(s_inv, m))
+    x2 = _gemm(_left_terms(x1, negate=True), b_d_inv, r2_d_inv)
+    return _wrap(rhs.ring, SuperShape(rhs.shape.rows, matrix.shape.cols),
+                 [left + right for left, right in zip(x1, x2)])
 
 
 def berezinian(matrix: SuperMatrix) -> SuperElement:
@@ -538,14 +562,15 @@ def berezinian(matrix: SuperMatrix) -> SuperElement:
     rows = [[dict(matrix.entries[i][j].terms) for j in order] for i in order]
     det_d, col = _unit_pivot_elimination(ring, rows, n)
     det_d = SuperElement(ring, det_d)
-    schur = _block(ring, SuperShape((m, 0), (m, 0)), rows[n:], n, n + m)
+    schur = _wrap(ring, SuperShape((m, 0), (m, 0)), [row[n:] for row in rows[n:]])
     if col < n:
         k = n - col
-        det_t, t_inv = _cayley_hamilton(_block(ring, SuperShape((0, k), (0, k)), rows[col:n], col, n))
+        t = _wrap(ring, SuperShape((0, k), (0, k)), [row[col:n] for row in rows[col:n]])
+        det_t, t_inv = _cayley_hamilton(t)
         det_d = det_d * det_t
         if t_inv is None:
             raise NotInvertible(f"odd-odd block is singular: body determinant {det_d.body()!r}")
-        b = _block(ring, SuperShape((m, 0), (0, k)), rows[n:], col, n)
-        c = _block(ring, SuperShape((0, k), (m, 0)), rows[col:n], n, n + m)
+        b = _wrap(ring, SuperShape((m, 0), (0, k)), [row[col:n] for row in rows[n:]])
+        c = _wrap(ring, SuperShape((0, k), (m, 0)), [row[n:] for row in rows[col:n]])
         schur = schur - b * t_inv * c
     return det_even(schur) * det_d.inv()

@@ -39,7 +39,7 @@ from sgq import (
 )
 from sgq.algebra import accumulate_product, sign_mask
 from sgq.flag import _check_square
-from sgq.matrix import _det_and_inverse, _parity_blocks
+from sgq.matrix import _det_and_inverse
 
 
 def subset_dp_det(matrix):
@@ -95,6 +95,81 @@ def adjugate_inverse(matrix, det):
             row.append(cof * det_inv)
         rows.append(row)
     return SuperMatrix(matrix.ring, matrix.shape, rows)
+
+
+def _parity_blocks(matrix):
+    """The four parity blocks A, B, C, D of a square (m|n) matrix."""
+    m, n = matrix.shape.rows
+    even_rows = list(range(m))
+    odd_rows = list(range(m, m + n))
+    even_cols = list(range(matrix.shape.cols[0]))
+    odd_cols = list(range(matrix.shape.cols[0], matrix.n_cols))
+    return (
+        matrix.select(even_rows, even_cols),
+        matrix.select(even_rows, odd_cols),
+        matrix.select(odd_rows, even_cols),
+        matrix.select(odd_rows, odd_cols),
+    )
+
+
+def _schur_step(matrix):
+    """(C, D^-1, B D^-1, S^-1) for a square matrix [[A, B], [C, D]], where
+    S = A - B D^-1 C, each block a SuperMatrix and each product a matrix
+    product.  Raises NotInvertible naming the block whose body is singular."""
+    if not matrix.shape.is_square:
+        raise ShapeMismatch(f"cannot invert non-square shape {matrix.shape}")
+    a, b, c, d = _parity_blocks(matrix)
+    try:
+        d_inv = inv_even(d)
+    except NotInvertible as exc:
+        raise NotInvertible(f"odd-odd block is singular: {exc}") from None
+    b_d_inv = b * d_inv
+    try:
+        schur_inv = inv_even(a - b_d_inv * c)
+    except NotInvertible as exc:
+        raise NotInvertible(f"even-even block is singular: {exc}") from None
+    return c, d_inv, b_d_inv, schur_inv
+
+
+def schur_sm_inv(matrix):
+    """The inverse of a square supermatrix from the Schur step's blocks, by
+    matrix products, negations and differences, joined by block_matrix."""
+    c, d_inv, b_d_inv, schur_inv = _schur_step(matrix)
+    top_right = -(schur_inv * b_d_inv)
+    bottom_left = -(d_inv * c * schur_inv)
+    bottom_right = d_inv - bottom_left * b_d_inv
+    return block_matrix([[schur_inv, top_right], [bottom_left, bottom_right]])
+
+
+def schur_right_divide(rhs, matrix):
+    """rhs * matrix^-1 as [X1 | X2], X1 = (R1 - R2 D^-1 C) S^-1 and
+    X2 = R2 D^-1 - X1 B D^-1, by matrix products and differences."""
+    if rhs.shape.cols != matrix.shape.rows:
+        raise ShapeMismatch(f"cannot divide shape {rhs.shape} by shape {matrix.shape}")
+    c, d_inv, b_d_inv, schur_inv = _schur_step(matrix)
+    rows = range(rhs.n_rows)
+    split = matrix.shape.rows[0]
+    r2_d_inv = rhs.select(rows, range(split, rhs.n_cols)) * d_inv
+    x1 = (rhs.select(rows, range(split)) - r2_d_inv * c) * schur_inv
+    x2 = r2_d_inv - x1 * b_d_inv
+    return SuperMatrix(rhs.ring, SuperShape(rhs.shape.rows, matrix.shape.cols),
+                       [left + right for left, right in zip(x1.entries, x2.entries)])
+
+
+def series_inv(element):
+    """The inverse of a unit element by the terminating geometric series,
+    summed with element arithmetic: c^-1 * sum_k (-s/c)^k."""
+    value = element.body().constant_value()
+    if value is None or not value:
+        raise NotInvertible(f"body is not a unit: {element.body()!r}")
+    ring = element.ring
+    c_inv = value.inverse()
+    step = SuperElement(ring, {k: -c * c_inv for k, c in element.terms.items() if k[1]})
+    result, power = ring.one(), step
+    while power.terms:
+        result = result + power
+        power = power * step
+    return SuperElement(ring, {k: c * c_inv for k, c in result.terms.items()})
 
 
 def schur_berezinian(matrix):

@@ -14,11 +14,11 @@ from sgq import (
     UnknownVariable,
 )
 from sgq import algebra
-from sgq.algebra import accumulate_product, sign_mask
+from sgq.algebra import accumulate_product, inverse_terms, sign_mask
 from sgq.sampling import random_element, trial_rng
 from sgq.scalars import from_ratios
 
-from oracles import operator_accumulate_product, tuple_accumulate_product
+from oracles import operator_accumulate_product, series_inv, tuple_accumulate_product
 
 LAW_RING = SuperRing([], ["a", "b", "c"])
 MIXED = SuperRing(["x"], ["th1", "th2"])
@@ -133,6 +133,57 @@ def test_unit_with_polynomial_soul_inverts(mixed_ring):
     th1, th2 = mixed_ring.gen("th1"), mixed_ring.gen("th2")
     a = mixed_ring.scalar(2) + x * th1 * th2 + th1
     assert (a * a.inv()).is_one()
+
+
+INVERSE_RINGS = [SuperRing(["x", "y"][:p], [f"t{k}" for k in range(1, q + 1)]) for p in (0, 1, 2) for q in range(7)]
+
+
+@st.composite
+def inverse_candidates(draw):
+    """An element over a ring with up to 2 even and 6 odd generators: a
+    constant body plus souls, mostly, and sometimes zero, a soul alone, or a
+    body that involves an even generator."""
+    ring = draw(st.sampled_from(INVERSE_RINGS))
+    body = draw(st.sampled_from(["unit", "unit", "unit", "zero", "soul", "polynomial"]))
+    coeff = st.builds(GaussianRational, st.fractions(-4, 4, max_denominator=5), st.fractions(-4, 4, max_denominator=5))
+    terms = {}
+    if ring.n_odd:
+        for _ in range(draw(st.integers(0 if body == "unit" else 1, 6))):
+            exp = tuple(draw(st.integers(0, 2)) for _ in ring.even_vars)
+            terms[(exp, draw(st.integers(1, (1 << ring.n_odd) - 1)))] = draw(coeff)
+    if body in ("unit", "polynomial"):
+        terms[((0,) * ring.n_even, 0)] = draw(coeff.filter(bool))
+    if body == "polynomial" and ring.n_even:
+        terms[((1,) + (0,) * (ring.n_even - 1), 0)] = draw(coeff.filter(bool))
+    return ring.element(terms)
+
+
+@given(inverse_candidates())
+def test_inverse_terms_matches_the_series_oracle(a):
+    kept = dict(a.terms)
+    try:
+        expected = series_inv(a)
+    except NotInvertible as exc:
+        with pytest.raises(NotInvertible) as err:
+            a.inv()
+        assert str(err.value) == str(exc)
+        return
+    assert inverse_terms(a.terms) == expected.terms
+    assert a.inv() == expected and (a * a.inv()).is_one()
+    assert a.terms == kept
+    for c in a.inv().terms.values():
+        assert c and c.den > 0 and gcd(c.re_num, c.im_num, c.den) == 1
+
+
+def test_non_units_keep_the_series_text(mixed_ring):
+    for element in (mixed_ring.zero(), mixed_ring.gen("th1"), mixed_ring.gen("x"),
+                    mixed_ring.one() + mixed_ring.gen("x") + mixed_ring.gen("th1") * mixed_ring.gen("th2")):
+        with pytest.raises(NotInvertible) as expected:
+            series_inv(element)
+        with pytest.raises(NotInvertible) as err:
+            element.inv()
+        assert str(err.value) == str(expected.value)
+    assert str(err.value) == "body is not a unit: 1 + x"
 
 
 def _count_products(monkeypatch):

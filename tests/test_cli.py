@@ -8,12 +8,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sgq import BlockProfile, SuperMatrix, SuperRing, SuperShape
 from sgq.cli import main
 from sgq.flag import NCoordinates
-from sgq.sampling import random_big_cell, random_big_cell_point, random_ncoords, trial_rng
+from sgq.sampling import random_big_cell, random_big_cell_point, random_invertible, random_ncoords, trial_rng
 from sgq.serialize import (
     canonical_dumps,
     encode_grassmann_point,
@@ -136,6 +136,38 @@ def test_minv_and_ber_of_the_empty_matrix(tmp_path):
     assert read(out)["result"] == read(path)
     assert run_cli("ber", "--in", str(path), "--out", str(out)) == 0
     assert read(out)["result"] == json.loads(canonical_dumps(SuperRing().one()))
+
+
+_ROUND_TRIP_RINGS = (SuperRing([], []), SuperRing([], ["t1", "t2"]))
+
+
+@settings(deadline=None, max_examples=30)
+@given(ring=st.sampled_from(_ROUND_TRIP_RINGS), m=st.integers(0, 3), n=st.integers(0, 3), seed=st.integers(0, 10 ** 6))
+@example(ring=_ROUND_TRIP_RINGS[1], m=0, n=0, seed=0)
+@example(ring=_ROUND_TRIP_RINGS[1], m=0, n=2, seed=0)
+@example(ring=_ROUND_TRIP_RINGS[1], m=2, n=0, seed=0)
+@example(ring=_ROUND_TRIP_RINGS[0], m=2, n=2, seed=0)
+def test_minv_round_trips_and_inverts_ber(ring, m, n, seed):
+    # minv of minv's output writes the input document back byte for byte,
+    # and ber of minv's output is the inverse of ber of the input
+    from sgq.serialize import parse_element
+
+    text = canonical_dumps(random_invertible(ring, trial_rng(seed, "cli.round_trip", 4 * m + n), m, n))
+    with tempfile.TemporaryDirectory() as scratch:
+        folder = Path(scratch)
+        docs = [folder / "g.json", folder / "inverse.json", folder / "again.json"]
+        docs[0].write_text(text)
+        for source, target in zip(docs, docs[1:]):
+            out = folder / "out.json"
+            assert run_cli("minv", "--in", str(source), "--out", str(out)) == 0
+            target.write_text(canonical_dumps(read(out)["result"]))
+        assert docs[2].read_text() == text
+        bers = []
+        for source in docs[:2]:
+            out = folder / "ber.json"
+            assert run_cli("ber", "--in", str(source), "--out", str(out)) == 0
+            bers.append(parse_element(read(out)["result"]))
+    assert (bers[0] * bers[1]).is_one()
 
 
 @pytest.mark.parametrize("command", ["minv", "ber"])

@@ -21,11 +21,31 @@ from sgq import (
     is_invertible,
     sm_inv,
 )
-from sgq.matrix import _charpoly, _det_and_inverse, _private_rows, _unit_pivot_elimination, right_divide
+from sgq.flag import BlockProfile, assemble, normal_form
+from sgq.grassmannian import chart_down, orbit_map
+from sgq.matrix import (
+    _charpoly,
+    _det_and_inverse,
+    _gemm,
+    _grid,
+    _left_terms,
+    _private_rows,
+    _right_terms,
+    _unit_pivot_elimination,
+    _wrap,
+    right_divide,
+)
 from sgq import sampling
 from sgq.sampling import random_invertible, random_soul, random_unit, trial_rng
 
-from oracles import adjugate_inverse, kloop_matmul, schur_berezinian, subset_dp_det
+from oracles import (
+    adjugate_inverse,
+    kloop_matmul,
+    schur_berezinian,
+    schur_right_divide,
+    schur_sm_inv,
+    subset_dp_det,
+)
 
 
 def sq(ring, rows):
@@ -152,6 +172,66 @@ def test_product_sums_distinct_denominators(grassmann2):
     assert product == kloop_matmul(left, right)
     assert product[0, 0].is_one() and product[0, 1].is_zero() and product[0, 2] == t12
     _assert_canonical(product)
+
+
+_EMPTY_INNER_SEED = SuperMatrix(_PRODUCT_RINGS[0], SuperShape((2, 1), (1, 2)),
+                                [[_PRODUCT_RINGS[0].one()] + [_PRODUCT_RINGS[0].zero()] * 2,
+                                 [_PRODUCT_RINGS[0].zero()] * 3,
+                                 [_PRODUCT_RINGS[0].gen("t1"), _PRODUCT_RINGS[0].zero(), _PRODUCT_RINGS[0].one()]])
+
+
+@st.composite
+def _gemm_operands(draw):
+    ring = draw(st.sampled_from(_PRODUCT_RINGS))
+    grading = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    rows, inner, cols = draw(grading), draw(grading), draw(grading)
+    return (draw(_graded_matrices(ring, rows, inner)), draw(_graded_matrices(ring, inner, cols)),
+            draw(_graded_matrices(ring, rows, cols)))
+
+
+def _fused(left, right, seed=None, negate=False):
+    """seed +- left * right through _gemm, wrapped."""
+    grid = _gemm(_left_terms(_grid(left), negate), _right_terms(_grid(right), right.n_cols),
+                 None if seed is None else _grid(seed))
+    return _wrap(left.ring, SuperShape(left.shape.rows, right.shape.cols), grid)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_gemm_operands(), st.booleans(), st.booleans())
+@example((SuperMatrix.zeros(_PRODUCT_RINGS[0], SuperShape((2, 1), (0, 0))),
+          SuperMatrix.zeros(_PRODUCT_RINGS[0], SuperShape((0, 0), (1, 2))),
+          _EMPTY_INNER_SEED), True, True)
+def test_seeded_gemm_matches_kloop_oracle(operands, seeded, negate):
+    left, right, seed = operands
+    kept = [(e.terms, dict(e.terms)) for row in seed.entries for e in row]
+    product = kloop_matmul(left, right)
+    result = _fused(left, right, seed if seeded else None, negate)
+    expected = -product if negate else product
+    assert result == (seed + expected if seeded else expected)
+    _assert_canonical(result)
+    # C - A * B with C = A * B cancels in every entry, storing no zero
+    cancelled = _fused(left, right, product, negate=True)
+    assert all(not e.terms for row in cancelled.entries for e in row)
+    # the seed's term maps are the caller's: read, never written
+    assert all(e.terms is terms and e.terms == copy
+               for e, (terms, copy) in zip((e for row in seed.entries for e in row), kept))
+
+
+def test_seeded_gemm_cancels_across_denominators(grassmann2):
+    # the product is 1/2 + 1/3 = 5/6 plus (i/12 + i/12) t1t2 = i/6 t1t2; the
+    # seed holds both and 1/5 t1t2 besides, so only 1/5 t1t2 is left
+    t12 = grassmann2.gen("t1") * grassmann2.gen("t2")
+    scalar = lambda re, im=0: grassmann2.scalar(GaussianRational(Fraction(*re), Fraction(*im) if im else 0))
+    shape = lambda r, c: SuperShape((r, 0), (c, 0))
+    left = SuperMatrix(grassmann2, shape(1, 2), [[scalar((1, 2)), scalar((1, 3))]])
+    right = SuperMatrix(grassmann2, shape(2, 1), [[grassmann2.one() + scalar((0, 1), (1, 6)) * t12],
+                                                 [grassmann2.one() + scalar((0, 1), (1, 4)) * t12]])
+    seed = SuperMatrix(grassmann2, shape(1, 1),
+                       [[scalar((5, 6)) + scalar((0, 1), (1, 6)) * t12 + scalar((1, 5)) * t12]])
+    result = _fused(left, right, seed, negate=True)
+    assert result == seed - kloop_matmul(left, right)
+    assert result[0, 0] == scalar((1, 5)) * t12
+    _assert_canonical(result)
 
 
 def test_block_matrix_concatenates(grassmann2):
@@ -529,9 +609,12 @@ def _ber_case(ring, m, n, kind, seed):
     return matrix
 
 
+_CASE_KINDS = st.sampled_from(["plain", "swap", "singular_a", "singular_d", "poly", "poly_late"])
+
+
 @settings(deadline=None, max_examples=80)
 @given(ring=st.sampled_from(_BER_RINGS), m=st.integers(0, 3), n=st.integers(0, 3),
-       kind=st.sampled_from(["plain", "swap", "singular_a", "singular_d", "poly", "poly_late"]), seed=st.integers(0, 10 ** 6))
+       kind=_CASE_KINDS, seed=st.integers(0, 10 ** 6))
 @example(ring=_BER_RINGS[0], m=0, n=0, kind="plain", seed=0)
 @example(ring=_BER_RINGS[0], m=3, n=0, kind="swap", seed=0)
 @example(ring=_BER_RINGS[0], m=0, n=3, kind="swap", seed=0)
@@ -600,6 +683,79 @@ def test_berezinian_stalls_on_polynomial_bodies(m, n, kind, stall):
     assert berezinian(matrix) == schur_berezinian(matrix)
 
 
+@settings(deadline=None, max_examples=80)
+@given(ring=st.sampled_from(_BER_RINGS), m=st.integers(0, 3), n=st.integers(0, 3),
+       rows=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       kind=_CASE_KINDS, seed=st.integers(0, 10 ** 6))
+@example(ring=_BER_RINGS[0], m=0, n=0, rows=(0, 0), kind="plain", seed=0)
+@example(ring=_BER_RINGS[0], m=0, n=0, rows=(1, 2), kind="plain", seed=0)
+@example(ring=_BER_RINGS[0], m=0, n=3, rows=(2, 1), kind="swap", seed=0)
+@example(ring=_BER_RINGS[0], m=3, n=0, rows=(0, 0), kind="swap", seed=0)
+@example(ring=_BER_RINGS[0], m=3, n=2, rows=(1, 1), kind="singular_a", seed=2)
+@example(ring=_BER_RINGS[0], m=2, n=3, rows=(1, 1), kind="singular_d", seed=3)
+@example(ring=POLY, m=2, n=2, rows=(2, 2), kind="poly", seed=4)
+@example(ring=POLY, m=1, n=3, rows=(0, 1), kind="poly_late", seed=8)
+def test_schur_step_matches_element_oracle(ring, m, n, rows, kind, seed):
+    # sm_inv and right_divide on term-map grids against the same Schur step
+    # run with matrix products, negations and differences of elements
+    matrix = _ber_case(ring, m, n, kind if not kind.startswith("poly") or ring is POLY else "plain", seed)
+    rhs = _random_rows(ring, trial_rng(seed, "test.schur.rhs", 16 * m + n), SuperShape(rows, (m, n)))
+    try:
+        expected = schur_sm_inv(matrix)
+    except NotInvertible as exc:
+        with pytest.raises(NotInvertible) as err:
+            sm_inv(matrix)
+        assert str(err.value) == str(exc)
+        with pytest.raises(NotInvertible) as err:
+            right_divide(rhs, matrix)
+        assert str(err.value) == str(exc)
+        return
+    inverse = sm_inv(matrix)
+    assert inverse.shape == matrix.shape and inverse == expected
+    _assert_canonical(inverse)
+    quotient = right_divide(rhs, matrix)
+    assert quotient.shape == rhs.shape and quotient == schur_right_divide(rhs, matrix)
+    _assert_canonical(quotient)
+
+
+@pytest.mark.parametrize("ring, m, n, kind, seed, outcome", [
+    (_BER_RINGS[0], 3, 2, "singular_a", 2, "even-even block is singular: determinant is not a unit: body 0"),
+    (_BER_RINGS[0], 2, 3, "singular_d", 3, "odd-odd block is singular: determinant is not a unit: body 0"),
+    (POLY, 2, 2, "poly", 4, "stall"),
+])
+def test_schur_oracle_examples_reach_their_paths(ring, m, n, kind, seed, outcome):
+    # the explicit examples above: a singular A or D body raises naming its
+    # block, and polynomial bodies stall both even inverses into Cayley-Hamilton
+    matrix = _ber_case(ring, m, n, kind, seed)
+    if outcome == "stall":
+        a, b = matrix.select(range(m), range(m)), matrix.select(range(m), range(m, m + n))
+        c, d = matrix.select(range(m, m + n), range(m)), matrix.select(range(m, m + n), range(m, m + n))
+        assert _stalls(d) and _stalls(a - b * inv_even(d) * c)
+        assert matrix * sm_inv(matrix) == SuperMatrix.identity(ring, m, n)
+    else:
+        with pytest.raises(NotInvertible) as err:
+            sm_inv(matrix)
+        assert str(err.value) == outcome
+
+
+@pytest.mark.parametrize("rows, cols, rhs_cols", [
+    ((1, 1), (2, 0), (1, 1)), ((2, 0), (1, 1), (2, 0)), ((0, 1), (1, 0), (0, 1)), ((0, 0), (0, 1), (0, 0)),
+    ((1, 1), (1, 1), (2, 0)), ((1, 1), (1, 1), (1, 2)),
+])
+def test_schur_step_refuses_shapes_like_the_oracle(grassmann2, rows, cols, rhs_cols):
+    matrix = SuperMatrix.zeros(grassmann2, SuperShape(rows, cols))
+    rhs = SuperMatrix.zeros(grassmann2, SuperShape((1, 1), rhs_cols))
+    cases = [(lambda: right_divide(rhs, matrix), lambda: schur_right_divide(rhs, matrix))]
+    if rows != cols:
+        cases.append((lambda: sm_inv(matrix), lambda: schur_sm_inv(matrix)))
+    for ours, oracle in cases:
+        with pytest.raises(ShapeMismatch) as expected:
+            oracle()
+        with pytest.raises(ShapeMismatch) as err:
+            ours()
+        assert str(err.value) == str(expected.value)
+
+
 def _aliased_matrix(ring, m, n, seed):
     """An invertible (m|n) matrix whose entries share objects: one `one` on
     the diagonal, one even soul on every even cell above it, and random
@@ -637,6 +793,11 @@ def test_operations_leave_input_term_maps_alone(grassmann4):
     assert berezinian(x * x) == ber * ber
     assert x * sm_inv(x) == SuperMatrix.identity(grassmann4, 3, 2)
     assert right_divide(rhs, x) == rhs * sm_inv(x)
+    assert x * rhs == kloop_matmul(x, rhs)
+    for bp in (BlockProfile(3, 2, 1, 1), BlockProfile(3, 2, 2, 0)):
+        coords, parabolic = normal_form(x, bp)
+        assert assemble(coords) * parabolic == x
+        assert chart_down(orbit_map(x, bp)) == coords
     assert a * inv_even(a) == SuperMatrix.identity(grassmann4, 3, 0)
     assert det_even(a) == subset_dp_det(a)
     assert det_even(singular) == subset_dp_det(singular)
