@@ -177,23 +177,27 @@ class SuperRing:
         The odd part of a key is either an int mask below 2**n_odd or a
         strictly increasing (normal-order) tuple of odd generator indices.
         """
+        n_even, n_odd = len(self.even_vars), len(self.odd_vars)
         clean: Dict[TermKey, GaussianRational] = {}
         for (exp, odd), coeff in terms.items():
             exp = tuple(exp)
-            if len(exp) != self.n_even or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent vector {exp} for ring with {self.n_even} even generators")
+            if len(exp) != n_even or (n_even and any(e < 0 for e in exp)):
+                raise ValueError(f"bad exponent vector {exp} for ring with {n_even} even generators")
             if isinstance(odd, int):
-                if not 0 <= odd < 1 << self.n_odd:
-                    raise ValueError(f"odd mask {odd} out of range for {self.n_odd} odd generators")
+                if not 0 <= odd < 1 << n_odd:
+                    raise ValueError(f"odd mask {odd} out of range for {n_odd} odd generators")
                 mask = odd
             else:
                 odd = tuple(odd)
-                if any(odd[k] >= odd[k + 1] for k in range(len(odd) - 1)):
+                if len(odd) > 1 and any(odd[k] >= odd[k + 1] for k in range(len(odd) - 1)):
                     raise ValueError(f"odd index tuple {odd} is not strictly increasing")
-                if odd and (odd[0] < 0 or odd[-1] >= self.n_odd):
-                    raise ValueError(f"odd index tuple {odd} out of range for {self.n_odd} odd generators")
-                mask = sum(1 << i for i in odd)
-            coeff = GaussianRational.coerce(coeff)
+                if odd and (odd[0] < 0 or odd[-1] >= n_odd):
+                    raise ValueError(f"odd index tuple {odd} out of range for {n_odd} odd generators")
+                mask = 0
+                for i in odd:
+                    mask |= 1 << i
+            if type(coeff) is not GaussianRational:
+                coeff = GaussianRational.coerce(coeff)
             if coeff:
                 clean[(exp, mask)] = coeff
         return SuperElement(self, clean)

@@ -23,7 +23,7 @@ from typing import Dict, Tuple
 
 from .algebra import SuperRing
 from .errors import NotInBigCell, NotInvertible, ShapeMismatch
-from .matrix import SuperMatrix, SuperShape, is_invertible, right_divide
+from .matrix import SuperMatrix, SuperShape, is_invertible, right_divide, subtract_product
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def normal_form(g: SuperMatrix, bp: BlockProfile) -> Tuple[NCoordinates, SuperMa
     except NotInvertible:
         raise NotInBigCell(f"corner blocks of g lack invertible body under profile {bp}") from None
     # columns 1 and 4 of p vanish on these rows; columns 2 and 3 are g's less n's part
-    interior = g.select(inner, inner) - norm * g.select(corner, inner)
+    interior = subtract_product(g.select(inner, inner), norm, g.select(corner, inner))
     if not is_invertible(interior):
         raise NotInvertible("g has singular body")
     zero = g.ring.zero()

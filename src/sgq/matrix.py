@@ -24,7 +24,9 @@ odd-odd block D, worked on grids of term maps from start to end: each
 operand is unpacked once per role, each block product adds into a seed
 grid and folds a minus sign into its left operand, so C - A B is one pass,
 and only the result is wrapped as elements.  Matrix products run on the
-same unpacked products.
+same unpacked products.  A product takes one of two kernels, chosen from its
+right operand: term pairs (`_dot`) for sparse operands, packed rows
+(`sgq.kronecker`) for dense ones.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Callable, List, Sequence, Tuple
 
 from .algebra import SuperElement, SuperRing, accumulate_product, inverse_terms, is_unit_terms, sign_mask
 from .errors import NotInvertible, ParityPatternViolation, RingMismatch, ShapeMismatch
+from .kronecker import PackedRows, gemm as packed_gemm, pack
 from .scalars import from_triple
 
 
@@ -85,14 +88,16 @@ class SuperMatrix:
         rows = tuple(tuple(row) for row in self.entries)
         if len(rows) != shape.n_rows or any(len(row) != shape.n_cols for row in rows):
             raise ShapeMismatch(f"entry array does not match shape {shape}")
+        even_rows, even_cols = shape.rows[0], shape.cols[0]
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
-                if entry.ring != ring:
+                if entry.ring is not ring and entry.ring != ring:
                     raise RingMismatch(f"entry ({i}, {j}) lives in a different ring")
-                forced = (shape.row_parity(i) + shape.col_parity(j)) % 2
-                if not entry.has_parity(forced):
-                    kind = "even" if forced == 0 else "odd"
-                    raise ParityPatternViolation(f"entry ({i}, {j}) must be {kind}: {entry!r}")
+                forced = (i >= even_rows) ^ (j >= even_cols)
+                for _, odd in entry.terms:
+                    if odd.bit_count() & 1 != forced:
+                        kind = "odd" if forced else "even"
+                        raise ParityPatternViolation(f"entry ({i}, {j}) must be {kind}: {entry!r}")
         object.__setattr__(self, "entries", rows)
 
     # -- constructors ----------------------------------------------------------
@@ -209,21 +214,37 @@ def _left_terms(grid, negate: bool = False):
              for terms in row] for row in grid]
 
 
-def _right_terms(grid, width: int):
-    """The first width columns of a grid of term maps unpacked as right
-    operands: terms (exp, mask, re_num, im_num, den).  The width is passed
-    because a grid with no rows cannot show it."""
+def _columns(grid, width: int):
+    """The first width columns of a grid of term maps unpacked for `_dot`:
+    terms (exp, mask, re_num, im_num, den)."""
     return [[[(exp, mask, c.re_num, c.im_num, c.den) for (exp, mask), c in row[j].items()] for row in grid]
             for j in range(width)]
 
 
+def _right_terms(grid, width: int):
+    """The first width columns of a grid of term maps as a right operand of
+    `_gemm`: packed rows when `kronecker.pack` finds them worth it, else
+    columns for `_dot`.  The width is passed because a grid with no rows
+    cannot show it."""
+    return pack(grid, width) or _columns(grid, width)
+
+
 def _gemm(rows, columns, seeds=None):
-    """The grid of term maps of seeds + L * R, from L's unpacked rows and R's
-    unpacked columns; seeds, a grid of term maps, is only read."""
+    """The grid of term maps of seeds + L * R, from L's unpacked rows and R
+    as `_right_terms` gives it; seeds, a grid of term maps, is only read."""
+    if isinstance(columns, PackedRows):
+        return packed_gemm(rows, columns, seeds)
     if seeds is None:
         return [[_dot(left, column) for column in columns] for left in rows]
     return [[_dot(left, column, seed) for column, seed in zip(columns, seed_row)]
             for left, seed_row in zip(rows, seeds)]
+
+
+def subtract_product(seed: SuperMatrix, left: SuperMatrix, right: SuperMatrix) -> SuperMatrix:
+    """seed - left * right as one seeded product, the sign folded into left;
+    the shapes are the caller's to match."""
+    rows = _gemm(_left_terms(_grid(left), negate=True), _right_terms(_grid(right), right.n_cols), _grid(seed))
+    return _wrap(seed.ring, seed.shape, rows)
 
 
 def _dot(left, column, seed=None):

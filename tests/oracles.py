@@ -38,8 +38,8 @@ from sgq import (
     standard_parabolic_member,
 )
 from sgq.algebra import accumulate_product, sign_mask
-from sgq.flag import _check_square
-from sgq.matrix import _det_and_inverse
+from sgq.flag import _check_square, coordinates_from_quotient
+from sgq.matrix import _det_and_inverse, right_divide
 
 
 def subset_dp_det(matrix):
@@ -326,6 +326,27 @@ def bracket_normal_form(g, bp):
         [b[(4, 1)], b[(4, 2)], b[(4, 3)], b[(4, 4)]],
     ])
     return coords, p
+
+
+def subtraction_normal_form(g, bp):
+    """normal_form with its interior formed as a matrix product and then a
+    SuperMatrix subtraction: two more element passes than one seeded product."""
+    _check_square(g, bp)
+    inner, corner = bp.inner, bp.corner
+    try:
+        norm = right_divide(g.select(inner, corner), g.select(corner, corner))
+    except NotInvertible:
+        raise NotInBigCell(f"corner blocks of g lack invertible body under profile {bp}") from None
+    interior = g.select(inner, inner) - norm * g.select(corner, inner)
+    if not is_invertible(interior):
+        raise NotInvertible("g has singular body")
+    zero = g.ring.zero()
+    rows = [list(row) for row in g.entries]
+    for i, row in zip(inner, interior.entries):
+        rows[i] = [zero] * g.n_cols
+        for j, entry in zip(inner, row):
+            rows[i][j] = entry
+    return coordinates_from_quotient(norm, bp), SuperMatrix._raw(g.ring, g.shape, rows)
 
 
 def product_cosets_equal(g1, g2, bp):

@@ -409,6 +409,34 @@ def test_element_takes_masks_in_range(grassmann2):
             grassmann2.element({((), mask): 1})
 
 
+def test_element_faults_keep_their_messages_and_order(mixed_ring):
+    # each term is checked exponent first, then its odd part, in map order
+    cases = [
+        ({((0, 0), ()): 1}, "bad exponent vector (0, 0) for ring with 1 even generators"),
+        ({((-1,), 5): 1}, "bad exponent vector (-1,) for ring with 1 even generators"),
+        ({((0,), 4): 1}, "odd mask 4 out of range for 2 odd generators"),
+        ({((0,), -1): 1}, "odd mask -1 out of range for 2 odd generators"),
+        ({((0,), (1, 1)): 1}, "odd index tuple (1, 1) is not strictly increasing"),
+        ({((0,), (1, 0, 5)): 1}, "odd index tuple (1, 0, 5) is not strictly increasing"),
+        ({((0,), (0, 2)): 1}, "odd index tuple (0, 2) out of range for 2 odd generators"),
+        ({((0,), (-1,)): 1}, "odd index tuple (-1,) out of range for 2 odd generators"),
+        ({((1,), (0, 1)): 1, ((0,), (2,)): 1}, "odd index tuple (2,) out of range for 2 odd generators"),
+    ]
+    for terms, message in cases:
+        with pytest.raises(ValueError) as err:
+            mixed_ring.element(terms)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match=r"^bad exponent vector \(\) for ring with 1 even generators$"):
+        mixed_ring.element({((), 9): 1})
+    with pytest.raises(TypeError, match="cannot interpret"):
+        mixed_ring.element({((0,), 0): 1.5})
+    empty = SuperRing([], [])
+    with pytest.raises(ValueError, match=r"^bad exponent vector \(0,\) for ring with 0 even generators$"):
+        empty.element({((0,), 0): 1})
+    assert mixed_ring.element({((2,), (0, 1)): 3, ((0,), 0): 0}) == 3 * mixed_ring.gen("x") ** 2 \
+        * mixed_ring.gen("th1") * mixed_ring.gen("th2")
+
+
 def test_sign_mask_counts_the_bits_above_each_position():
     width = 12
     for mask in range(1 << width):

@@ -170,6 +170,45 @@ def test_minv_round_trips_and_inverts_ber(ring, m, n, seed):
     assert (bers[0] * bers[1]).is_one()
 
 
+@st.composite
+def _closure_cases(draw):
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    bp = BlockProfile(m, n, draw(st.integers(0, m)), draw(st.integers(0, n)))
+    return bp, SuperRing([], [f"t{k}" for k in range(1, draw(st.sampled_from((0, 2))) + 1)]), draw(st.integers(0, 10 ** 6))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_closure_cases())
+@example((BlockProfile(3, 3, 1, 2), SuperRing([], ["t1", "t2"]), 0))
+@example((BlockProfile(2, 2, 0, 0), SuperRing([], ["t1", "t2"]), 0))
+@example((BlockProfile(3, 3, 3, 3), SuperRing([], []), 0))
+@example((BlockProfile(0, 0, 0, 0), SuperRing([], []), 0))
+def test_written_documents_read_back(case):
+    # every chain of commands on the documents the CLI writes exits 0:
+    # orbit -> chart-down and factor's n -> chart-up -> chart-down, both of
+    # which give factor's n; factor's p -> ber
+    bp, ring, seed = case
+    profile = f"{bp.m},{bp.n},{bp.r},{bp.s}"
+    g = random_big_cell(ring, bp, trial_rng(seed, "cli.closure", bp.m * 4 + bp.n))
+    with tempfile.TemporaryDirectory() as scratch:
+        folder = Path(scratch)
+
+        def step(command, doc):
+            source, out = folder / f"{command}.in.json", folder / f"{command}.out.json"
+            source.write_text(canonical_dumps(doc))
+            assert run_cli(command, "--in", str(source), "--out", str(out), "--profile", profile) == 0
+            return read(out)
+
+        down = step("chart-down", step("orbit", encode_matrix(g))["result"])["result"]
+        factor = step("factor", encode_matrix(g))
+        assert down == factor["n"]
+        point = step("chart-up", factor["n"])["result"]
+        assert step("chart-down", point)["result"] == factor["n"]
+        ber_in, ber_out = folder / "p.json", folder / "ber.json"
+        ber_in.write_text(canonical_dumps(factor["p"]))
+        assert run_cli("ber", "--in", str(ber_in), "--out", str(ber_out)) == 0
+
+
 @pytest.mark.parametrize("command", ["minv", "ber"])
 def test_a_non_square_matrix_with_no_cell_is_a_domain_error(tmp_path, command):
     path, out = _empty_matrix_doc(tmp_path, 2), tmp_path / "out.json"

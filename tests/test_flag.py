@@ -33,6 +33,7 @@ from oracles import (
     explicit_standard_point,
     grid_assemble,
     product_cosets_equal,
+    subtraction_normal_form,
 )
 
 BP_SMALL = BlockProfile(1, 1, 1, 0)
@@ -259,7 +260,7 @@ def test_normal_form_matches_bracket_oracle(grassmann4, profile, index):
     bp = BlockProfile(*profile)
     g = random_big_cell(grassmann4, bp, trial_rng(index, "oracle", sum(profile)))
     coords, p = normal_form(g, bp)
-    assert (coords, p) == bracket_normal_form(g, bp)
+    assert (coords, p) == bracket_normal_form(g, bp) == subtraction_normal_form(g, bp)
     assert standard_parabolic_member(p, bp)
     assert assemble(coords) * p == g
 
@@ -284,7 +285,7 @@ def test_normal_form_errors_match_bracket_oracle(grassmann4, profile):
         broken.append(SuperMatrix(g.ring, g.shape, rows))
     for matrix in broken:
         outcome = _solve(normal_form, matrix, bp)
-        assert outcome == _solve(bracket_normal_form, matrix, bp)
+        assert outcome == _solve(bracket_normal_form, matrix, bp) == _solve(subtraction_normal_form, matrix, bp)
         assert outcome[0] in (NotInBigCell, NotInvertible)
 
 

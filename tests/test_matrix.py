@@ -23,8 +23,10 @@ from sgq import (
 )
 from sgq.flag import BlockProfile, assemble, normal_form
 from sgq.grassmannian import chart_down, orbit_map
+from sgq.kronecker import PackedRows, common_den
 from sgq.matrix import (
     _charpoly,
+    _columns,
     _det_and_inverse,
     _gemm,
     _grid,
@@ -62,6 +64,30 @@ def test_off_parity_entry_rejected(grassmann2):
     with pytest.raises(ParityPatternViolation) as err:
         sq(grassmann2, [[t1, grassmann2.zero()], [grassmann2.zero(), grassmann2.one()]])
     assert "(0, 0)" in str(err.value)
+
+
+def test_construction_faults_keep_their_messages_and_order(grassmann2):
+    # faults are reported in row-major order, a ring fault before a parity
+    # fault of the same entry; an equal ring that is another object passes
+    one, zero, t1 = grassmann2.one(), grassmann2.zero(), grassmann2.gen("t1")
+    other = SuperRing([], ["s1"]).one()
+    twin = SuperRing([], ["t1", "t2"])
+    assert twin is not grassmann2
+    assert sq(grassmann2, [[twin.one(), zero], [zero, one]])[0, 0] == one
+    cases = [
+        ([[one, zero]], ShapeMismatch, "entry array does not match shape SuperShape(rows=(1, 1), cols=(1, 1))"),
+        ([[one, zero], [zero]], ShapeMismatch,
+         "entry array does not match shape SuperShape(rows=(1, 1), cols=(1, 1))"),
+        ([[other, t1], [zero, one]], RingMismatch, "entry (0, 0) lives in a different ring"),
+        ([[one, one], [other, one]], ParityPatternViolation, "entry (0, 1) must be odd: 1"),
+        ([[one, zero], [t1 + one * 0, t1]], ParityPatternViolation, "entry (1, 1) must be even: t1"),
+        ([[one, zero], [zero, SuperRing([], ["s1"]).gen("s1")]], RingMismatch,
+         "entry (1, 1) lives in a different ring"),
+    ]
+    for rows, error, message in cases:
+        with pytest.raises(error) as err:
+            sq(grassmann2, rows)
+        assert str(err.value) == message
 
 
 def test_odd_corners_accepted(grassmann2):
@@ -105,12 +131,14 @@ def _assert_canonical(matrix):
 _PRODUCT_RINGS = (SuperRing([], ["t1", "t2", "t3"]), SuperRing(["x"], ["t1", "t2"]))
 
 
+_SMALL_PARTS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
 @st.composite
-def _graded_matrices(draw, ring, rows, cols):
+def _graded_matrices(draw, ring, rows, cols, part=_SMALL_PARTS):
     """A pattern-valid matrix whose coefficients have independent denominators
     on their real and imaginary parts."""
     shape = SuperShape(rows, cols)
-    part = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
     entries = []
     for i in range(shape.n_rows):
         row = []
@@ -215,6 +243,106 @@ def test_seeded_gemm_matches_kloop_oracle(operands, seeded, negate):
     # the seed's term maps are the caller's: read, never written
     assert all(e.terms is terms and e.terms == copy
                for e, (terms, copy) in zip((e for row in seed.entries for e in row), kept))
+
+
+def _both_kernels(left, right, seed=None, negate=False):
+    """seed +- left * right through each kernel of _gemm, called directly."""
+    rows = _left_terms(_grid(left), negate)
+    grid, width = _grid(right), right.n_cols
+    seeds = None if seed is None else _grid(seed)
+    shape = SuperShape(left.shape.rows, right.shape.cols)
+    return [_wrap(left.ring, shape, _gemm(rows, operand, seeds))
+            for operand in (_columns(grid, width), PackedRows(grid, width, common_den(grid, width)))]
+
+
+# numerators past 2**64 as well as small ones, so fields are wider than a machine word
+_WIDE_PARTS = st.builds(Fraction, st.integers(-4, 4) | st.integers(-2 ** 90, 2 ** 90), st.integers(1, 6))
+
+
+@st.composite
+def _kernel_operands(draw):
+    ring = draw(st.sampled_from(_PRODUCT_RINGS))
+    grading = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    rows, inner, cols = draw(grading), draw(grading), draw(grading)
+    part = draw(st.sampled_from((_SMALL_PARTS, _WIDE_PARTS)))
+    return (draw(_graded_matrices(ring, rows, inner, part)), draw(_graded_matrices(ring, inner, cols, part)),
+            draw(_graded_matrices(ring, rows, cols, part)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_kernel_operands(), st.booleans(), st.booleans())
+@example((SuperMatrix.zeros(_PRODUCT_RINGS[1], SuperShape((2, 1), (3, 0))),
+          SuperMatrix.zeros(_PRODUCT_RINGS[1], SuperShape((3, 0), (1, 2))),
+          SuperMatrix.zeros(_PRODUCT_RINGS[1], SuperShape((2, 1), (1, 2)))), True, True)
+@example((SuperMatrix.zeros(_PRODUCT_RINGS[0], SuperShape((2, 1), (0, 0))),
+          SuperMatrix.zeros(_PRODUCT_RINGS[0], SuperShape((0, 0), (1, 2))),
+          _EMPTY_INNER_SEED), True, False)
+def test_both_kernels_match_kloop_oracle(operands, seeded, negate):
+    left, right, seed = operands
+    product = kloop_matmul(left, right)
+    expected = -product if negate else product
+    expected = seed + expected if seeded else expected
+    for result in _both_kernels(left, right, seed if seeded else None, negate):
+        assert result == expected
+        _assert_canonical(result)
+
+
+def test_packed_fields_reach_their_width_bound(grassmann2):
+    # each term of a row adds (L + Li)(R - Ri) = 2LR to a real field, so a
+    # row of n terms reaches 2nLR, the bound the field width is set from;
+    # negated, the fields reach -2nLR
+    big, small = 2 ** 70 - 1, 3
+    for left_value, right_value in ((big, big), (small, big), (big, small), (1, 1)):
+        entry = grassmann2.scalar(GaussianRational(left_value, left_value))
+        left = SuperMatrix(grassmann2, SuperShape((3, 0), (3, 0)), [[entry] * 3] * 3)
+        entry = grassmann2.scalar(GaussianRational(right_value, -right_value))
+        right = SuperMatrix(grassmann2, SuperShape((3, 0), (4, 0)), [[entry] * 4] * 3)
+        for negate in (False, True):
+            value = grassmann2.scalar(6 * left_value * right_value * (-1 if negate else 1))
+            for result in _both_kernels(left, right, negate=negate):
+                assert all(e == value for row in result.entries for e in row)
+
+
+def test_packed_output_keys_take_every_column_they_touch(grassmann2):
+    # t1 reaches column 0 from row 0 of the right operand and column 2 from
+    # row 1, so its key must be read in both columns
+    one, zero, t1 = grassmann2.one(), grassmann2.zero(), grassmann2.gen("t1")
+    left = SuperMatrix(grassmann2, SuperShape((1, 0), (2, 0)), [[one, one]])
+    right = SuperMatrix(grassmann2, SuperShape((2, 0), (0, 3)), [[t1, zero, zero], [zero, zero, t1]])
+    for result in _both_kernels(left, right):
+        assert result == kloop_matmul(left, right)
+        assert result[0, 0] == result[0, 2] == t1 and result[0, 1].is_zero()
+
+
+def _full_matrix(ring, m, n, den=1):
+    """An (m|n) matrix over Lambda[t1, t2] with every key in every entry:
+    a + b t1t2 where even, c t1 + d t2 where odd, over the denominator den."""
+    t1, t2 = ring.gen("t1"), ring.gen("t2")
+    shape = SuperShape((m, n), (m, n))
+    rows = []
+    for i in range(m + n):
+        row = []
+        for j in range(m + n):
+            a, b = (GaussianRational(Fraction(i + 2 * j + 1, den)), GaussianRational(Fraction(i - j - 7, den)))
+            row.append(t1 * a + t2 * b if shape.row_parity(i) != shape.col_parity(j) else t1 * t2 * b + a)
+        rows.append(row)
+    return SuperMatrix(ring, shape, rows)
+
+
+def test_dense_operands_take_packed_rows_and_sparse_ones_take_dot(grassmann2):
+    # (3|3) at q = 2 with every key in every entry: 3 terms per key in each row
+    dense = _full_matrix(grassmann2, 3, 3)
+    assert isinstance(_right_terms(_grid(dense), dense.n_cols), PackedRows)
+    # the same with a common denominator over 64 bits, or as a 2 x 2 matrix
+    wide = _full_matrix(grassmann2, 3, 3, den=2 ** 64 + 1)
+    small = _full_matrix(grassmann2, 1, 1)
+    # q = 6: few terms share a key
+    sparse_ring = SuperRing([], [f"t{k}" for k in range(1, 7)])
+    sparse = random_invertible(sparse_ring, trial_rng(0, "kernel choice", 0), 3, 3)
+    for matrix in (wide, small, sparse):
+        assert isinstance(_right_terms(_grid(matrix), matrix.n_cols), list)
+    for left, right in ((dense, wide), (wide, dense), (sparse, sparse), (small, small)):
+        assert left * right == kloop_matmul(left, right)
 
 
 def test_seeded_gemm_cancels_across_denominators(grassmann2):
